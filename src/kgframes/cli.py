@@ -12,48 +12,16 @@ import argparse
 import json
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from . import constructions, duals, gsystem, redundancy, serialization
 from .errors import ComputationError, InputError
 from .linops import DEFAULT_RANK_TOL
 
 
-def _complex_list(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=np.complex128)]
-
-
-def _bounds_payload(rep: gsystem.BoundReport) -> dict:
-    return {
-        "bessel_upper_opt": rep.bessel_upper_opt,
-        "g_lower_opt": rep.g_lower_opt,
-        "kg_lower_opt": rep.kg_lower_opt,
-        "tight_kg": rep.tight_kg,
-        "tightness_constant": rep.tightness_constant,
-    }
-
-
-def _certificate_payload(cert: duals.DualCertificate) -> dict:
-    return {
-        "defect": cert.defect,
-        "is_exact_dual": cert.is_exact_dual,
-        "is_approx_dual": cert.is_approx_dual,
-        "interchange_defect": cert.interchange_defect,
-    }
-
-
-def _erasure_payload(rep: redundancy.ErasureReport) -> dict:
-    return {
-        "removed": list(rep.removed),
-        "criterion": rep.criterion,
-        "survives": rep.survives,
-        "predicted_lower_bound": rep.predicted_lower_bound,
-        "actual_lower_bound": rep.actual_lower_bound,
-        "invertibility_norm": rep.invertibility_norm,
-        "predicted_lower_bound_stated": rep.predicted_lower_bound_stated,
-        "count_conditions_differ": rep.count_conditions_differ,
-    }
+# Commands whose -o names the system file they write; the others print their
+# report, or write it to -o when given.
+_SYSTEM_WRITERS = {"gen", "dual", "exactify", "neumann-dual"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,62 +45,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a system file")
+    def command(name: str, help_text: str, *files: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for f in files:
+            p.add_argument(f)
+        if name in _SYSTEM_WRITERS:
+            p.add_argument("-o", "--output", required=True, help="system file to write")
+        else:
+            p.add_argument("-o", "--output", default=None, help="report file (default stdout)")
+        return p
+
+    p = command("gen", "generate a system file")
     p.add_argument("kind", choices=["example1", "example2", "random"])
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--dims", type=str, default=None, help="comma-separated block dims (random)")
     p.add_argument("--rank-k", type=int, default=None, help="rank of K (random)")
     p.add_argument("--seed", type=int, default=0, help="random seed (random)")
-    p.add_argument("-o", "--output", required=True, help="system file to write")
-
-    p = sub.add_parser("bounds", parents=[common], help="optimal frame constants")
-    p.add_argument("system")
-    p.add_argument("-o", "--output", default=None, help="report file (default stdout)")
-
-    p = sub.add_parser("classify", parents=[common], help="frame classification")
-    p.add_argument("system")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("dual", parents=[common], help="canonical dual family")
-    p.add_argument("system")
-    p.add_argument("-o", "--output", required=True, help="system file for the dual")
-
-    p = sub.add_parser("defect", parents=[common], help="duality defect of a candidate")
-    p.add_argument("system")
-    p.add_argument("candidate")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("exactify", parents=[common], help="correct an approximate dual")
-    p.add_argument("system")
-    p.add_argument("candidate")
-    p.add_argument("-o", "--output", required=True)
-
-    p = sub.add_parser("neumann-dual", parents=[common], help="truncated series dual")
-    p.add_argument("system")
-    p.add_argument("candidate")
+    command("bounds", "optimal frame constants", "system")
+    command("classify", "frame classification", "system")
+    command("dual", "canonical dual family", "system")
+    command("defect", "duality defect of a candidate", "system", "candidate")
+    command("exactify", "correct an approximate dual", "system", "candidate")
+    p = command("neumann-dual", "truncated series dual", "system", "candidate")
     p.add_argument("--N", type=int, required=True, dest="num_terms")
-    p.add_argument("-o", "--output", required=True)
-
-    p = sub.add_parser("reconstruct", parents=[common], help="iterative reconstruction")
-    p.add_argument("system")
-    p.add_argument("candidate")
-    p.add_argument("--vec", required=True, help="vector file with the target")
+    p = command("reconstruct", "iterative reconstruction", "system", "candidate")
+    p.add_argument("--vec", required=True, dest="vector", help="vector file with the target")
     p.add_argument("--N", type=int, default=duals.NEUMANN_DEFAULT_STEPS, dest="num_steps")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("lift", parents=[common], help="lift a dual pair to vector frames")
-    p.add_argument("system")
-    p.add_argument("candidate")
+    p = command("lift", "lift a dual pair to vector frames", "system", "candidate")
     p.add_argument("--frames", required=True, help="frame-family file")
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("erase", parents=[common], help="erasure survival analysis")
-    p.add_argument("system")
+    p = command("erase", "erasure survival analysis", "system")
     p.add_argument("--indices", type=int, nargs="+", default=None)
     p.add_argument("--criterion", choices=["norm", "invert", "brute"], required=True)
     p.add_argument("--max-remove", type=int, default=None,
                    help="enumerate all removals up to this size (brute only)")
-    p.add_argument("-o", "--output", default=None)
     return parser
 
 
@@ -140,178 +85,155 @@ def _digest_entry(path: str) -> dict:
     return {"path": str(path), "sha256": serialization.file_digest(path)}
 
 
+def _gen(args) -> dict:
+    if args.kind == "example1":
+        ksys = constructions.overlap_chain_system(args.n)
+    elif args.kind == "example2":
+        ksys = constructions.corner_projection_system(args.n)
+    else:
+        if args.dims is None or args.rank_k is None:
+            raise InputError("random generation needs --dims and --rank-k")
+        dims = [int(d) for d in args.dims.split(",") if d != ""]
+        ksys = constructions.random_kg_system(args.n, dims, args.rank_k, args.seed)
+    serialization.save_system(ksys, args.output)
+    return {
+        "kind": "generate",
+        "path": str(args.output),
+        "ambient_dim": ksys.ambient_dim,
+        "num_blocks": ksys.system.num_blocks,
+        "sha256": serialization.file_digest(args.output),
+    }
+
+
+def _bounds(args, ksys) -> dict:
+    return {"kind": "bounds", **asdict(gsystem.optimal_bounds(ksys, rank_tol=args.tol_rank))}
+
+
+def _classify(args, ksys) -> dict:
+    rep = gsystem.classify(ksys, tol=args.tol_rank)
+    return {
+        "kind": "classify",
+        "label": rep.label.value,
+        "k_star_lower_bound": rep.k_star_lower_bound,
+        "g_frame_implied": rep.g_frame_implied,
+        "bounds": asdict(rep.bounds),
+    }
+
+
+def _certificate(args, ksys, family: gsystem.GSystem) -> dict:
+    cert = duals.approx_defect(
+        ksys.system, family, ksys.k, exact_tol=args.tol_dual, rank_tol=args.tol_rank
+    )
+    return asdict(cert)
+
+
+def _saved_dual(args, ksys, family: gsystem.GSystem, kind: str, **extra) -> dict:
+    """Write ``family`` with the system's K to ``-o`` and certify it."""
+    serialization.save_system(gsystem.KGSystem(family, ksys.k), args.output)
+    return {
+        "kind": kind,
+        **extra,
+        "path": str(args.output),
+        "sha256": serialization.file_digest(args.output),
+        "certificate": _certificate(args, ksys, family),
+    }
+
+
+def _dual(args, ksys) -> dict:
+    return _saved_dual(args, ksys, duals.canonical_kg_dual(ksys, rank_tol=args.tol_rank), "dual")
+
+
+def _defect(args, ksys, cand) -> dict:
+    return {"kind": "defect", **_certificate(args, ksys, cand.system)}
+
+
+def _exactify(args, ksys, cand) -> dict:
+    fixed = duals.exactify_dual(ksys.system, cand.system, ksys.k, rank_tol=args.tol_rank)
+    return _saved_dual(args, ksys, fixed, "exactify")
+
+
+def _neumann_dual(args, ksys, cand) -> dict:
+    trunc = duals.truncated_neumann_dual(
+        ksys.system, cand.system, ksys.k, args.num_terms, rank_tol=args.tol_rank
+    )
+    return _saved_dual(args, ksys, trunc, "neumann_dual", num_terms=args.num_terms)
+
+
+def _reconstruct(args, ksys, cand, target) -> dict:
+    trace = duals.neumann_reconstruct(
+        ksys.system, cand.system, ksys.k, target, num_steps=args.num_steps, rank_tol=args.tol_rank
+    )
+    return {
+        "kind": "reconstruct",
+        "steps": len(trace.errors) - 1,
+        "errors": list(trace.errors),
+        "predicted_bound": list(trace.predicted_bound),
+        "iterates": [serialization.complex_pairs(it) for it in trace.iterates],
+    }
+
+
+def _lift(args, ksys, cand, fams) -> dict:
+    result = duals.lift_to_vector_frames(
+        ksys.system, cand.system, fams, k=ksys.k, rank_tol=args.tol_rank
+    )
+    return {
+        "kind": "lift",
+        "residual": result.residual,
+        "operator_defect": result.operator_defect,
+        "vector_defect": result.vector_defect,
+        "restricted_defect": result.restricted_defect,
+        "vectors_e": [serialization.complex_pairs(v) for v in result.vectors_e],
+        "vectors_f": [serialization.complex_pairs(v) for v in result.vectors_f],
+    }
+
+
+def _erase(args, ksys) -> dict:
+    if (args.indices is None) == (args.max_remove is None):
+        raise InputError("pass exactly one of --indices or --max-remove")
+    if args.max_remove is not None:
+        if args.criterion != "brute":
+            raise InputError("--max-remove requires --criterion brute")
+        reports = redundancy.brute_force_erasure_search(ksys, args.max_remove, args.tol_rank)
+        return {
+            "kind": "erase_search",
+            "max_remove": args.max_remove,
+            "reports": [asdict(r) for r in reports],
+        }
+    criterion = {
+        "norm": redundancy.erasure_norm_count,
+        "invert": redundancy.erasure_invertibility,
+        "brute": redundancy.erasure_brute_report,
+    }[args.criterion]
+    return {"kind": "erase", **asdict(criterion(ksys, args.indices, args.tol_rank))}
+
+
+# Each command's handler and the input files it reads, in the order they are
+# loaded; the handler receives the loaded inputs after the parsed arguments.
+_COMMANDS = {
+    "gen": (_gen, ()),
+    "bounds": (_bounds, ("system",)),
+    "classify": (_classify, ("system",)),
+    "dual": (_dual, ("system",)),
+    "defect": (_defect, ("system", "candidate")),
+    "exactify": (_exactify, ("system", "candidate")),
+    "neumann-dual": (_neumann_dual, ("system", "candidate")),
+    "reconstruct": (_reconstruct, ("system", "candidate", "vector")),
+    "lift": (_lift, ("system", "candidate", "frames")),
+    "erase": (_erase, ("system",)),
+}
+_LOADERS = {
+    "system": serialization.load_system,
+    "candidate": serialization.load_system,
+    "vector": serialization.load_vector,
+    "frames": serialization.load_frame_family,
+}
+
+
 def _run(args: argparse.Namespace) -> tuple[dict, dict]:
     """Dispatch one parsed command; returns (payload, input digests)."""
-    tol_rank = args.tol_rank
-    tol_dual = args.tol_dual
-
-    if args.command == "gen":
-        if args.kind == "example1":
-            ksys = constructions.overlap_chain_system(args.n)
-        elif args.kind == "example2":
-            ksys = constructions.corner_projection_system(args.n)
-        else:
-            if args.dims is None or args.rank_k is None:
-                raise InputError("random generation needs --dims and --rank-k")
-            dims = [int(d) for d in args.dims.split(",") if d != ""]
-            ksys = constructions.random_kg_system(args.n, dims, args.rank_k, args.seed)
-        serialization.save_system(ksys, args.output)
-        payload = {
-            "kind": "generate",
-            "path": str(args.output),
-            "ambient_dim": ksys.ambient_dim,
-            "num_blocks": ksys.system.num_blocks,
-            "sha256": serialization.file_digest(args.output),
-        }
-        return payload, {}
-
-    if args.command == "bounds":
-        ksys = serialization.load_system(args.system)
-        rep = gsystem.optimal_bounds(ksys, rank_tol=tol_rank)
-        payload = {"kind": "bounds", **_bounds_payload(rep)}
-        return payload, {"system": _digest_entry(args.system)}
-
-    if args.command == "classify":
-        ksys = serialization.load_system(args.system)
-        rep = gsystem.classify(ksys, tol=tol_rank)
-        payload = {
-            "kind": "classify",
-            "label": rep.label.value,
-            "k_star_lower_bound": rep.k_star_lower_bound,
-            "g_frame_implied": rep.g_frame_implied,
-            "bounds": _bounds_payload(rep.bounds),
-        }
-        return payload, {"system": _digest_entry(args.system)}
-
-    if args.command == "dual":
-        ksys = serialization.load_system(args.system)
-        dual = duals.canonical_kg_dual(ksys, rank_tol=tol_rank)
-        serialization.save_system(gsystem.KGSystem(dual, ksys.k), args.output)
-        cert = duals.approx_defect(ksys.system, dual, ksys.k, exact_tol=tol_dual, rank_tol=tol_rank)
-        payload = {
-            "kind": "dual",
-            "path": str(args.output),
-            "sha256": serialization.file_digest(args.output),
-            "certificate": _certificate_payload(cert),
-        }
-        return payload, {"system": _digest_entry(args.system)}
-
-    if args.command == "defect":
-        ksys = serialization.load_system(args.system)
-        cand = serialization.load_system(args.candidate)
-        cert = duals.approx_defect(
-            ksys.system, cand.system, ksys.k, exact_tol=tol_dual, rank_tol=tol_rank
-        )
-        payload = {"kind": "defect", **_certificate_payload(cert)}
-        return payload, {
-            "system": _digest_entry(args.system),
-            "candidate": _digest_entry(args.candidate),
-        }
-
-    if args.command == "exactify":
-        ksys = serialization.load_system(args.system)
-        cand = serialization.load_system(args.candidate)
-        fixed = duals.exactify_dual(ksys.system, cand.system, ksys.k, rank_tol=tol_rank)
-        serialization.save_system(gsystem.KGSystem(fixed, ksys.k), args.output)
-        cert = duals.approx_defect(ksys.system, fixed, ksys.k, exact_tol=tol_dual, rank_tol=tol_rank)
-        payload = {
-            "kind": "exactify",
-            "path": str(args.output),
-            "sha256": serialization.file_digest(args.output),
-            "certificate": _certificate_payload(cert),
-        }
-        return payload, {
-            "system": _digest_entry(args.system),
-            "candidate": _digest_entry(args.candidate),
-        }
-
-    if args.command == "neumann-dual":
-        ksys = serialization.load_system(args.system)
-        cand = serialization.load_system(args.candidate)
-        trunc = duals.truncated_neumann_dual(
-            ksys.system, cand.system, ksys.k, args.num_terms, rank_tol=tol_rank
-        )
-        serialization.save_system(gsystem.KGSystem(trunc, ksys.k), args.output)
-        cert = duals.approx_defect(ksys.system, trunc, ksys.k, exact_tol=tol_dual, rank_tol=tol_rank)
-        payload = {
-            "kind": "neumann_dual",
-            "num_terms": args.num_terms,
-            "path": str(args.output),
-            "sha256": serialization.file_digest(args.output),
-            "certificate": _certificate_payload(cert),
-        }
-        return payload, {
-            "system": _digest_entry(args.system),
-            "candidate": _digest_entry(args.candidate),
-        }
-
-    if args.command == "reconstruct":
-        ksys = serialization.load_system(args.system)
-        cand = serialization.load_system(args.candidate)
-        target = serialization.load_vector(args.vec)
-        trace = duals.neumann_reconstruct(
-            ksys.system, cand.system, ksys.k, target, num_steps=args.num_steps, rank_tol=tol_rank
-        )
-        payload = {
-            "kind": "reconstruct",
-            "steps": len(trace.errors) - 1,
-            "errors": list(trace.errors),
-            "predicted_bound": list(trace.predicted_bound),
-            "iterates": [_complex_list(it) for it in trace.iterates],
-        }
-        return payload, {
-            "system": _digest_entry(args.system),
-            "candidate": _digest_entry(args.candidate),
-            "vector": _digest_entry(args.vec),
-        }
-
-    if args.command == "lift":
-        ksys = serialization.load_system(args.system)
-        cand = serialization.load_system(args.candidate)
-        fams = serialization.load_frame_family(args.frames)
-        result = duals.lift_to_vector_frames(
-            ksys.system, cand.system, fams, k=ksys.k, rank_tol=tol_rank
-        )
-        payload = {
-            "kind": "lift",
-            "residual": result.residual,
-            "operator_defect": result.operator_defect,
-            "vector_defect": result.vector_defect,
-            "restricted_defect": result.restricted_defect,
-            "vectors_e": [_complex_list(v) for v in result.vectors_e],
-            "vectors_f": [_complex_list(v) for v in result.vectors_f],
-        }
-        return payload, {
-            "system": _digest_entry(args.system),
-            "candidate": _digest_entry(args.candidate),
-            "frames": _digest_entry(args.frames),
-        }
-
-    if args.command == "erase":
-        ksys = serialization.load_system(args.system)
-        inputs = {"system": _digest_entry(args.system)}
-        if (args.indices is None) == (args.max_remove is None):
-            raise InputError("pass exactly one of --indices or --max-remove")
-        if args.max_remove is not None:
-            if args.criterion != "brute":
-                raise InputError("--max-remove requires --criterion brute")
-            reports = redundancy.brute_force_erasure_search(ksys, args.max_remove)
-            payload = {
-                "kind": "erase_search",
-                "max_remove": args.max_remove,
-                "reports": [_erasure_payload(r) for r in reports],
-            }
-            return payload, inputs
-        if args.criterion == "norm":
-            rep = redundancy.erasure_norm_count(ksys, args.indices)
-        elif args.criterion == "invert":
-            rep = redundancy.erasure_invertibility(ksys, args.indices)
-        else:
-            rep = redundancy.erasure_brute_report(ksys, args.indices)
-        payload = {"kind": "erase", **_erasure_payload(rep)}
-        return payload, inputs
-
-    raise InputError(f"unknown command {args.command!r}")
+    handler, inputs = _COMMANDS[args.command]
+    payload = handler(args, *(_LOADERS[key](getattr(args, key)) for key in inputs))
+    return payload, {key: _digest_entry(getattr(args, key)) for key in inputs}
 
 
 def main(argv=None) -> int:
@@ -337,7 +259,7 @@ def main(argv=None) -> int:
     }
     text = json.dumps(report, indent=1)
     output = getattr(args, "output", None)
-    if output is not None and args.command not in {"gen", "dual", "exactify", "neumann-dual"}:
+    if output is not None and args.command not in _SYSTEM_WRITERS:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:

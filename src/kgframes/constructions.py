@@ -140,8 +140,8 @@ def scale_weights(ksys: KGSystem, weights) -> ScaledSystem:
     moduli = np.abs(w)
     if w.size == 0 or float(moduli.min()) == 0.0:
         raise ZeroWeightError("every weight must be nonzero")
-    blocks = tuple(wj * b for wj, b in zip(w, ksys.system.blocks))
-    scaled = KGSystem(GSystem(ksys.ambient_dim, blocks), ksys.k)
+    sys = ksys.system
+    scaled = KGSystem(sys.with_matrix(np.repeat(w, sys.block_dims)[:, None] * sys.matrix), ksys.k)
     return ScaledSystem(scaled, float(moduli.min()), float(moduli.max()))
 
 
@@ -215,9 +215,9 @@ def compose(ksys: KGSystem, fams: SubspaceFrameFamily) -> KGSystem:
             raise DimMismatchError(
                 f"family {j} has vectors of length {fam.shape[1]}, block needs {block.shape[0]}"
             )
-        for vec in fam:
-            rows.append((vec.conj() @ block).reshape(1, -1))
-    return KGSystem(GSystem(ksys.ambient_dim, tuple(rows)), ksys.k)
+        rows.append(fam.conj() @ block)
+    # every row of the stacked products is a block of its own
+    return KGSystem(GSystem(ksys.ambient_dim, tuple(np.concatenate(rows)[:, np.newaxis])), ksys.k)
 
 
 @dataclass(frozen=True)

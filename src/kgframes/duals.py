@@ -24,7 +24,7 @@ from .errors import (
     NotInRangeError,
     RangeConditionError,
 )
-from .gsystem import GSystem, KGSystem, analysis, frame_operator, range_condition_holds, synthesis
+from .gsystem import GSystem, KGSystem, frame_operator, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
 
 # Relative projector residual below which a vector counts as in range(K).
@@ -99,11 +99,7 @@ def _check_same_shape(system: GSystem, candidate: GSystem) -> None:
 def mixed_operator(system: GSystem, candidate: GSystem) -> np.ndarray:
     """Matrix of sum_j L_j^* T_j (synthesis of one family after analysis by the other)."""
     _check_same_shape(system, candidate)
-    n = system.ambient_dim
-    m = np.zeros((n, n), dtype=np.complex128)
-    for lb, tb in zip(system.blocks, candidate.blocks):
-        m += lb.conj().T @ tb
-    return m
+    return system.matrix.conj().T @ candidate.matrix
 
 
 def canonical_kg_dual(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> GSystem:
@@ -123,8 +119,7 @@ def canonical_kg_dual(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> GSy
         raise RangeConditionError("range(K) is not contained in range(S)")
     s = frame_operator(ksys.system)
     factor = linops.pinv(s, rank_tol) @ linops.range_projector(ksys.k, rank_tol)
-    blocks = tuple(b @ factor for b in ksys.system.blocks)
-    return GSystem(ksys.ambient_dim, blocks)
+    return ksys.system.with_matrix(ksys.system.matrix @ factor)
 
 
 def approx_defect(
@@ -170,7 +165,7 @@ def exactify_dual(
     m = mixed_operator(system, candidate)
     p = linops.range_projector(linops.as_operator(k), rank_tol)
     m_inv = linops.pinv(p @ m @ p, rank_tol)
-    return GSystem(candidate.ambient_dim, tuple(b @ m_inv for b in candidate.blocks))
+    return candidate.with_matrix(candidate.matrix @ m_inv)
 
 
 def truncated_neumann_dual(
@@ -199,7 +194,7 @@ def truncated_neumann_dual(
     for _ in range(num_terms):
         term = q @ term
         acc += term
-    return GSystem(candidate.ambient_dim, tuple(b @ acc for b in candidate.blocks))
+    return candidate.with_matrix(candidate.matrix @ acc)
 
 
 def neumann_reconstruct(
@@ -236,7 +231,9 @@ def neumann_reconstruct(
         raise NotInRangeError("target vector is not in range(K)")
 
     def apply_mixed(v: np.ndarray) -> np.ndarray:
-        return synthesis(system, analysis(candidate, v))
+        # analysis by the candidate, then synthesis by the system as
+        # L^* y = conj(L^T conj(y)), which copies no matrix
+        return (system.matrix.T @ (candidate.matrix @ v).conj()).conj()
 
     term = p @ apply_mixed(f)
     approx = term.copy()
@@ -254,7 +251,9 @@ def neumann_reconstruct(
     return ReconstructionTrace(tuple(iterates), tuple(errors), tuple(predicted))
 
 
-def perturbed_dual(ksys: KGSystem, defect: float, seed: int) -> GSystem:
+def perturbed_dual(
+    ksys: KGSystem, defect: float, seed: int, rank_tol: float = DEFAULT_RANK_TOL
+) -> GSystem:
     """Approximate dual with a prescribed measured defect.
 
     Right-composes the canonical dual with ``I + G`` for a random G scaled
@@ -264,17 +263,17 @@ def perturbed_dual(ksys: KGSystem, defect: float, seed: int) -> GSystem:
     """
     if not 0.0 <= defect < 1.0:
         raise ValueError("defect must lie in [0, 1)")
-    base = canonical_kg_dual(ksys)
+    base = canonical_kg_dual(ksys, rank_tol)
     if defect == 0.0:
         return base
     n = ksys.ambient_dim
     rng = np.random.default_rng(seed)
-    p = linops.range_projector(ksys.k)
+    p = linops.range_projector(ksys.k, rank_tol)
     g = _complex_gaussian(rng, (n, n))
     scale = linops.op_norm(p @ g @ p)
     g *= defect / scale
     factor = np.eye(n, dtype=np.complex128) + g
-    return GSystem(n, tuple(b @ factor for b in base.blocks))
+    return base.with_matrix(base.matrix @ factor)
 
 
 def lift_to_vector_frames(

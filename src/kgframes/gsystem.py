@@ -14,7 +14,8 @@ optimal constants and classifies systems along the frame/tight-frame axes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,26 +40,36 @@ class GSystem:
     """A finite family of operator blocks over a common ambient space.
 
     ``blocks[j]`` has shape ``(d_j, ambient_dim)``; rows hold coordinates in
-    the j-th coefficient space. Instances are immutable; the arrays are
-    copied and marked read-only at construction.
+    the j-th coefficient space. The blocks are stored once, stacked row-wise
+    in ``matrix`` (shape ``(sum_j d_j, ambient_dim)``); block j is rows
+    ``offsets[j]:offsets[j + 1]``, and ``blocks[j]`` is a view of them.
+    Instances are immutable: the stacked matrix is a read-only copy of the
+    input blocks.
     """
 
     ambient_dim: int
     blocks: tuple[np.ndarray, ...]
+    matrix: np.ndarray = field(init=False, repr=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if int(self.ambient_dim) < 1:
             raise DimMismatchError(f"ambient dimension must be >= 1, got {self.ambient_dim}")
-        object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
-        frozen = []
-        for j, raw in enumerate(self.blocks):
-            block = linops.as_operator(raw)
-            if block.shape[1] != self.ambient_dim:
-                raise DimMismatchError(
-                    f"block {j} has {block.shape[1]} columns, expected {self.ambient_dim}"
-                )
-            frozen.append(_frozen(block))
-        object.__setattr__(self, "blocks", tuple(frozen))
+        n = int(self.ambient_dim)
+        blocks = [np.asarray(raw, dtype=np.complex128) for raw in self.blocks]
+        for j, block in enumerate(blocks):
+            if block.ndim != 2:
+                raise ValueError(f"expected a matrix, got ndim={block.ndim}")
+            if block.shape[1] != n:
+                raise DimMismatchError(f"block {j} has {block.shape[1]} columns, expected {n}")
+        # the one copy; the leading empty block covers a system without blocks
+        matrix = linops.as_operator(np.concatenate([np.zeros((0, n), dtype=np.complex128), *blocks]))
+        matrix.setflags(write=False)
+        offsets = (0, *itertools.accumulate(b.shape[0] for b in blocks))
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "blocks", _split_rows(matrix, offsets))
 
     @property
     def num_blocks(self) -> int:
@@ -67,6 +78,17 @@ class GSystem:
     @property
     def block_dims(self) -> tuple[int, ...]:
         return tuple(b.shape[0] for b in self.blocks)
+
+    def with_matrix(self, matrix) -> "GSystem":
+        """A system with this one's block dims whose stacked rows are ``matrix``."""
+        if np.ndim(matrix) != 2 or np.shape(matrix)[0] != self.offsets[-1]:
+            raise DimMismatchError(f"expected {self.offsets[-1]} stacked rows, got {np.shape(matrix)}")
+        return GSystem(self.ambient_dim, _split_rows(matrix, self.offsets))
+
+
+def _split_rows(a: np.ndarray, offsets: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Views of the row ranges ``offsets[j]:offsets[j + 1]`` of ``a``."""
+    return tuple(a[lo:hi] for lo, hi in zip(offsets, offsets[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +208,9 @@ def _coerce_parts(sys: GSystem, seq) -> tuple[np.ndarray, ...]:
 def synthesis(sys: GSystem, seq) -> np.ndarray:
     """Map a coefficient sequence back to the ambient space: sum_j L_j^* g_j."""
     parts = _coerce_parts(sys, seq)
-    out = np.zeros(sys.ambient_dim, dtype=np.complex128)
-    # fixed summation order keeps repeated runs bit-identical
-    for block, part in zip(sys.blocks, parts):
-        out += block.conj().T @ part
-    return out
+    coeffs = np.concatenate(parts) if parts else np.zeros(0, dtype=np.complex128)
+    # L^* g as conj(L^T conj(g)): conjugates the vectors, not the matrix
+    return (sys.matrix.T @ coeffs.conj()).conj()
 
 
 def analysis(sys: GSystem, f) -> BlockSequence:
@@ -198,15 +218,12 @@ def analysis(sys: GSystem, f) -> BlockSequence:
     vec = linops.as_vector(f)
     if vec.shape[0] != sys.ambient_dim:
         raise DimMismatchError(f"vector has length {vec.shape[0]}, expected {sys.ambient_dim}")
-    return BlockSequence(tuple(block @ vec for block in sys.blocks))
+    return BlockSequence(_split_rows(sys.matrix @ vec, sys.offsets))
 
 
 def frame_operator(sys: GSystem) -> np.ndarray:
     """The Hermitian PSD matrix S = sum_j L_j^* L_j (synthesis after analysis)."""
-    n = sys.ambient_dim
-    s = np.zeros((n, n), dtype=np.complex128)
-    for block in sys.blocks:
-        s += block.conj().T @ block
+    s = sys.matrix.conj().T @ sys.matrix
     return (s + s.conj().T) / 2.0
 
 

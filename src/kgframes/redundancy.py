@@ -32,7 +32,8 @@ from .linops import DEFAULT_RANK_TOL
 INVERTIBILITY_TOL = 1e-10
 # Removed blocks must have operator norm 1 within this tolerance.
 UNIT_NORM_TOL = 1e-9
-# A reduced system survives brute force when its lower bound clears this.
+# A reduced system survives brute force when its lower bound A relative to K
+# has A * ||K||^2 > SURVIVAL_TOL * B, B the full system's Bessel bound.
 SURVIVAL_TOL = 1e-10
 # Ceiling on the number of subsets a brute-force enumeration may visit.
 MAX_SUBSETS = 100_000
@@ -76,12 +77,7 @@ def _validate_indices(num_blocks: int, indices) -> tuple[int, ...]:
 def partial_frame_operator(sys: GSystem, indices) -> np.ndarray:
     """Frame operator restricted to a subset of blocks: sum_{j in I} L_j^* L_j."""
     idx = _validate_indices(sys.num_blocks, indices)
-    n = sys.ambient_dim
-    s = np.zeros((n, n), dtype=np.complex128)
-    for j in idx:
-        block = sys.blocks[j]
-        s += block.conj().T @ block
-    return (s + s.conj().T) / 2.0
+    return frame_operator(GSystem(sys.ambient_dim, tuple(sys.blocks[j] for j in idx)))
 
 
 def reduced_system(ksys: KGSystem, indices) -> KGSystem:
@@ -91,11 +87,25 @@ def reduced_system(ksys: KGSystem, indices) -> KGSystem:
     return KGSystem(GSystem(ksys.ambient_dim, blocks), ksys.k)
 
 
-def _reduced_bounds(ksys: KGSystem, idx: tuple[int, ...]) -> BoundReport:
-    return optimal_bounds(reduced_system(ksys, idx))
+def _reduced_bounds(ksys: KGSystem, idx: tuple[int, ...], rank_tol: float) -> BoundReport:
+    return optimal_bounds(reduced_system(ksys, idx), rank_tol=rank_tol)
 
 
-def erasure_norm_count(ksys: KGSystem, indices) -> ErasureReport:
+def _survival_floor(ksys: KGSystem) -> float:
+    """The K-relative lower bound ``SURVIVAL_TOL * B / ||K||^2`` a reduced system must exceed.
+
+    B = ||L||^2 is the full system's Bessel bound, so the threshold scales with
+    the blocks and K; it is infinite for K = 0.
+    """
+    k_norm = linops.op_norm(ksys.k)
+    if k_norm == 0.0:
+        return math.inf
+    return SURVIVAL_TOL * linops.op_norm(ksys.system.matrix) ** 2 / (k_norm * k_norm)
+
+
+def erasure_norm_count(
+    ksys: KGSystem, indices, rank_tol: float = DEFAULT_RANK_TOL
+) -> ErasureReport:
     """Survival via counting: the removed set is small against A * C^2.
 
     ``C`` is the lower bound of K^* (smallest singular value of K) and A
@@ -107,13 +117,13 @@ def erasure_norm_count(ksys: KGSystem, indices) -> ErasureReport:
     idx = _validate_indices(ksys.system.num_blocks, indices)
     svals = linops.svd_values(ksys.k)
     c = float(svals[-1]) if svals.size else 0.0
-    if c <= DEFAULT_RANK_TOL * (float(svals[0]) if svals.size else 0.0) or c == 0.0:
+    if c <= rank_tol * (float(svals[0]) if svals.size else 0.0) or c == 0.0:
         raise KStarNotBoundedBelowError("the adjoint of K is not bounded below")
     for j in idx:
         norm_j = linops.op_norm(ksys.system.blocks[j])
         if abs(norm_j - 1.0) > UNIT_NORM_TOL:
             raise NotUnitNormError(f"block {j} has operator norm {norm_j:.12g}, expected 1")
-    full = optimal_bounds(ksys)
+    full = optimal_bounds(ksys, rank_tol=rank_tol)
     if full.kg_lower_opt is None or full.kg_lower_opt <= 0.0:
         raise NotKGFrameError("system has no positive lower bound relative to K")
     a = full.kg_lower_opt
@@ -121,7 +131,7 @@ def erasure_norm_count(ksys: KGSystem, indices) -> ErasureReport:
     survives = margin > 0.0
     predicted = margin if survives else None
     differs = (len(idx) < a * c) != (len(idx) < a * c * c)
-    reduced = _reduced_bounds(ksys, idx)
+    reduced = _reduced_bounds(ksys, idx, rank_tol)
     return ErasureReport(
         removed=idx,
         criterion="normCount",
@@ -133,7 +143,9 @@ def erasure_norm_count(ksys: KGSystem, indices) -> ErasureReport:
     )
 
 
-def erasure_invertibility(ksys: KGSystem, indices) -> ErasureReport:
+def erasure_invertibility(
+    ksys: KGSystem, indices, rank_tol: float = DEFAULT_RANK_TOL
+) -> ErasureReport:
     """Survival via invertibility of T = I - S^{-1} S_I.
 
     Requires the full frame operator S to be invertible. When T is
@@ -147,9 +159,9 @@ def erasure_invertibility(ksys: KGSystem, indices) -> ErasureReport:
     idx = _validate_indices(ksys.system.num_blocks, indices)
     s = frame_operator(ksys.system)
     svals = linops.svd_values(s)
-    if not svals.size or float(svals[-1]) <= DEFAULT_RANK_TOL * float(svals[0]):
+    if not svals.size or float(svals[-1]) <= rank_tol * float(svals[0]):
         raise FrameOperatorSingularError("frame operator is singular at tolerance")
-    full = optimal_bounds(ksys)
+    full = optimal_bounds(ksys, rank_tol=rank_tol)
     if full.kg_lower_opt is None or full.kg_lower_opt <= 0.0:
         raise NotKGFrameError("system has no positive lower bound relative to K")
     a = min(full.g_lower_opt, full.kg_lower_opt)
@@ -171,7 +183,7 @@ def erasure_invertibility(ksys: KGSystem, indices) -> ErasureReport:
         if denom > 0.0:
             predicted = a / (denom * denom)
         stated = a / (inv_norm * inv_norm)
-    reduced = _reduced_bounds(ksys, idx)
+    reduced = _reduced_bounds(ksys, idx, rank_tol)
     return ErasureReport(
         removed=idx,
         criterion="invertibility",
@@ -183,11 +195,21 @@ def erasure_invertibility(ksys: KGSystem, indices) -> ErasureReport:
     )
 
 
-def erasure_brute_report(ksys: KGSystem, indices) -> ErasureReport:
-    """Ground-truth report: recompute optimal bounds of the reduced system."""
+def erasure_brute_report(
+    ksys: KGSystem, indices, rank_tol: float = DEFAULT_RANK_TOL
+) -> ErasureReport:
+    """Ground-truth report: recompute optimal bounds of the reduced system.
+
+    The reduced system survives when A * ||K||^2 > SURVIVAL_TOL * B, with A its
+    lower bound relative to K and B the full system's Bessel bound.
+    """
     idx = _validate_indices(ksys.system.num_blocks, indices)
-    reduced = _reduced_bounds(ksys, idx)
-    survives = reduced.kg_lower_opt is not None and reduced.kg_lower_opt > SURVIVAL_TOL
+    return _brute_report(ksys, idx, rank_tol, _survival_floor(ksys))
+
+
+def _brute_report(ksys: KGSystem, idx: tuple[int, ...], rank_tol: float, floor: float):
+    reduced = _reduced_bounds(ksys, idx, rank_tol)
+    survives = reduced.kg_lower_opt is not None and reduced.kg_lower_opt > floor
     return ErasureReport(
         removed=idx,
         criterion="bruteForce",
@@ -198,7 +220,9 @@ def erasure_brute_report(ksys: KGSystem, indices) -> ErasureReport:
     )
 
 
-def brute_force_erasure_search(ksys: KGSystem, max_remove: int) -> list[ErasureReport]:
+def brute_force_erasure_search(
+    ksys: KGSystem, max_remove: int, rank_tol: float = DEFAULT_RANK_TOL
+) -> list[ErasureReport]:
     """Evaluate every removal of up to ``max_remove`` blocks.
 
     Enumeration is guarded: the total number of subsets must not exceed
@@ -211,8 +235,9 @@ def brute_force_erasure_search(ksys: KGSystem, max_remove: int) -> list[ErasureR
     total = sum(math.comb(m, r) for r in range(max_remove + 1))
     if total > MAX_SUBSETS:
         raise TooManySubsetsError(f"{total} subsets exceed the {MAX_SUBSETS} budget")
+    floor = _survival_floor(ksys)
     reports = []
     for r in range(max_remove + 1):
         for combo in itertools.combinations(range(m), r):
-            reports.append(erasure_brute_report(ksys, combo))
+            reports.append(_brute_report(ksys, combo, rank_tol, floor))
     return reports

@@ -78,10 +78,31 @@ REPORT_FILE_SCHEMA = {
 }
 
 
+def complex_pairs(a) -> list[list[float]]:
+    """Row-major ``[re, im]`` pairs of a complex array, as Python floats."""
+    flat = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return flat.reshape(-1, 2).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     a = np.asarray(m, dtype=np.complex128)
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": complex_pairs(a)}
+
+
+def _pairs_array(entries: list, count: int) -> np.ndarray | None:
+    """All entries at once, or None when some entry is not a finite [re, im] pair.
+
+    The type scan comes first: numpy would convert "1.0" and True silently.
+    """
+    if not all(type(pair) is list for pair in entries) or not all(
+            type(x) in (int, float) for pair in entries for x in pair):
+        return None
+    try:
+        flat = np.asarray(entries, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    ok = flat.shape == (count, 2) and np.all(np.isfinite(flat))
+    return flat.view(np.complex128).reshape(-1) if ok else None
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
@@ -97,15 +118,29 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
         raise ParseError(f"{where}: negative dimensions")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError(f"{where}: expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
-            raise ParseError(f"{where}: entry {i} is not a [re, im] pair")
-        flat[i] = complex(pair[0], pair[1])
-    if rows * cols and not np.all(np.isfinite(flat)):
-        raise ParseError(f"{where}: non-finite entry")
+    flat = _pairs_array(entries, rows * cols)
+    if flat is None:
+        # names the first bad entry
+        flat = np.empty(rows * cols, dtype=np.complex128)
+        for i, pair in enumerate(entries):
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+                raise ParseError(f"{where}: entry {i} is not a [re, im] pair")
+            try:
+                flat[i] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise ParseError(f"{where}: non-finite entry") from None
+        if rows * cols and not np.all(np.isfinite(flat)):
+            raise ParseError(f"{where}: non-finite entry")
     return flat.reshape(rows, cols)
+
+
+def _write_json(doc: dict, path) -> None:
+    # streamed: the same bytes as json.dumps(doc, indent=1), without the
+    # whole text (many times the file size as chunks) in memory at once
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _read_json(path) -> dict:
@@ -130,7 +165,7 @@ def save_system(ksys: KGSystem, path) -> None:
         "blocks": [matrix_to_json(b) for b in ksys.system.blocks],
         "k": matrix_to_json(ksys.k),
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    _write_json(doc, path)
 
 
 def load_system(path) -> KGSystem:
@@ -170,9 +205,9 @@ def save_vector(v: np.ndarray, path) -> None:
     doc = {
         "version": VECTOR_SCHEMA_VERSION,
         "dim": int(a.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in a],
+        "entries": complex_pairs(a),
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    _write_json(doc, path)
 
 
 def load_vector(path) -> np.ndarray:
@@ -192,7 +227,7 @@ def save_frame_family(fams: SubspaceFrameFamily, path) -> None:
         "version": FRAMES_SCHEMA_VERSION,
         "families": [matrix_to_json(f) for f in fams.families],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    _write_json(doc, path)
 
 
 def load_frame_family(path) -> SubspaceFrameFamily:

@@ -100,6 +100,46 @@ def frame_operator_of(sys: GSystem) -> np.ndarray:
     return out
 
 
+def mixed_operator_of(system: GSystem, candidate: GSystem) -> np.ndarray:
+    """Plain-numpy sum_j L_j^* T_j, one block at a time."""
+    n = system.ambient_dim
+    out = np.zeros((n, n), dtype=np.complex128)
+    for lb, tb in zip(system.blocks, candidate.blocks):
+        out += lb.conj().T @ tb
+    return out
+
+
+def analysis_of(sys: GSystem, f: np.ndarray) -> list[np.ndarray]:
+    """The parts L_j f, one block at a time."""
+    return [b @ f for b in sys.blocks]
+
+
+def synthesis_of(sys: GSystem, parts) -> np.ndarray:
+    """sum_j L_j^* g_j, one block at a time."""
+    out = np.zeros(sys.ambient_dim, dtype=np.complex128)
+    for b, g in zip(sys.blocks, parts):
+        out += b.conj().T @ g
+    return out
+
+
+def neumann_iterates_of(
+    system: GSystem, candidate: GSystem, k: np.ndarray, f: np.ndarray, num_steps: int
+) -> list[np.ndarray]:
+    """Partial sums of the projected Neumann series, applying the mixed
+    operator block by block and projecting with P = K pinv(K)."""
+    p = k @ np.linalg.pinv(k, rcond=1e-10)
+
+    def apply_mixed(v):
+        return synthesis_of(system, analysis_of(candidate, v))
+
+    term = p @ apply_mixed(f)
+    iterates = [term.copy()]
+    for _ in range(num_steps):
+        term = p @ (term - apply_mixed(term))
+        iterates.append(iterates[-1] + term)
+    return iterates
+
+
 def power_iteration_norm(m: np.ndarray, iters: int = 500, seed: int = 0) -> float:
     """Largest singular value via power iteration on M^* M."""
     rng = np.random.default_rng(seed)

@@ -249,6 +249,26 @@ def test_erase_invertibility_on_healthy_system(tmp_path, capsys):
     assert isinstance(payload["survives"], bool)
 
 
+def test_erase_honours_tol_rank(tmp_path, capsys):
+    # S = diag(1, 1e-4): invertible at the default rank tolerance, not at 1e-3
+    blocks = (np.array([[1.0, 0.0]]), np.array([[0.0, 1e-2]]), np.zeros((1, 2)))
+    path = tmp_path / "sys.json"
+    save_system(KGSystem(GSystem(2, blocks), np.eye(2)), path)
+    erase = ("erase", str(path), "--indices", "2", "--criterion")
+    code, out, _ = run_cli(capsys, *erase, "brute")
+    assert code == 0 and read_report(out)["payload"]["survives"] is True
+    code, out, _ = run_cli(capsys, *erase, "brute", "--tol-rank", "1e-3")
+    assert code == 0 and read_report(out)["payload"]["survives"] is False
+    code, out, _ = run_cli(capsys, *erase, "invert")
+    assert code == 0 and read_report(out)["payload"]["survives"] is True
+    code, _, err = run_cli(capsys, *erase, "invert", "--tol-rank", "1e-3")
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "FrameOperatorSingularError"
+    search = ("erase", str(path), "--max-remove", "0", "--criterion", "brute")
+    code, out, _ = run_cli(capsys, *search, "--tol-rank", "1e-3")
+    assert [r["survives"] for r in read_report(out)["payload"]["reports"]] == [False]
+
+
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bounds", str(tmp_path / "absent.json"))
     assert code == 2

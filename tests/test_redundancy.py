@@ -11,14 +11,19 @@ from kgframes import (
     KStarNotBoundedBelowError,
     NotUnitNormError,
     TooManySubsetsError,
+    Classification,
+    approx_defect,
     brute_force_erasure_search,
+    classify,
     corner_projection_system,
     erasure_brute_report,
     erasure_invertibility,
     erasure_norm_count,
     frame_operator,
     optimal_bounds,
+    overlap_chain_system,
     partial_frame_operator,
+    perturbed_dual,
     random_kg_system,
     reduced_system,
 )
@@ -214,3 +219,44 @@ def test_removing_every_block_never_survives():
     rep = erasure_brute_report(ksys, range(ksys.system.num_blocks))
     assert not rep.survives
     assert rep.actual_lower_bound is None
+
+
+def test_brute_survival_is_scale_invariant():
+    chain = overlap_chain_system(8)
+    reference = [r.survives for r in brute_force_erasure_search(chain, 1)]
+    for c in (1e-6, 1e6):
+        scaled = KGSystem(GSystem(8, tuple(c * b for b in chain.system.blocks)), chain.k)
+        assert classify(scaled).label is Classification.TIGHT_KG_FRAME
+        assert erasure_brute_report(scaled, []).survives
+        assert [r.survives for r in brute_force_erasure_search(scaled, 1)] == reference
+        rescaled_k = KGSystem(chain.system, c * chain.k)
+        assert [r.survives for r in brute_force_erasure_search(rescaled_k, 1)] == reference
+
+
+def _nearly_singular_system() -> KGSystem:
+    """S = diag(1, 1e-4) plus a zero block: singular only at rank_tol 1e-3."""
+    blocks = (np.array([[1.0, 0.0]]), np.array([[0.0, 1e-2]]), np.zeros((1, 2)))
+    return KGSystem(GSystem(2, blocks), np.eye(2))
+
+
+def test_erasure_criteria_use_the_rank_tolerance():
+    ksys = _nearly_singular_system()
+    assert erasure_brute_report(ksys, [2]).survives
+    assert not erasure_brute_report(ksys, [2], rank_tol=1e-3).survives
+    assert [r.survives for r in brute_force_erasure_search(ksys, 0, rank_tol=1e-3)] == [False]
+    assert erasure_invertibility(ksys, [2]).survives
+    with pytest.raises(FrameOperatorSingularError):
+        erasure_invertibility(ksys, [2], rank_tol=1e-3)
+    skewed_k = KGSystem(GSystem(2, (np.eye(2),)), np.diag([1.0, 1e-4]))
+    assert erasure_norm_count(skewed_k, []).survives
+    with pytest.raises(KStarNotBoundedBelowError):
+        erasure_norm_count(skewed_k, [], rank_tol=1e-3)
+
+
+def test_perturbed_dual_uses_the_rank_tolerance():
+    rng = np.random.default_rng(98)
+    u, _ = np.linalg.qr(complex_gaussian(rng, (4, 4)))
+    k = u @ np.diag([1.0, 0.5, 1e-4, 0.0]) @ u.conj().T
+    ksys = KGSystem(GSystem(4, (complex_gaussian(rng, (5, 4)),)), k)
+    pert = perturbed_dual(ksys, 0.3, seed=1, rank_tol=1e-3)
+    assert abs(approx_defect(ksys.system, pert, k, rank_tol=1e-3).defect - 0.3) <= 1e-9

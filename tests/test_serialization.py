@@ -49,6 +49,32 @@ def test_matrix_codec_rejects_malformed_entries():
         matrix_from_json([], "m")
 
 
+@pytest.mark.parametrize("bad", [["1.0", 0], [None, 0], [1, 0, 0], [1.0], (1, 0), 1.0])
+def test_matrix_codec_names_the_bad_entry(bad):
+    entries = [[1, 0], [0.5, -2], bad, [3, 4]]
+    with pytest.raises(ParseError, match="entry 2 is not a"):
+        matrix_from_json({"rows": 2, "cols": 2, "entries": entries}, "m")
+
+
+def test_matrix_codec_rejects_overflowing_integers():
+    with pytest.raises(ParseError, match="non-finite"):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [[1, 0], [10**400, 0]]}, "m")
+
+
+def test_matrix_codec_accepts_numpy_floats_and_empty_matrices():
+    back = matrix_from_json({"rows": 1, "cols": 2, "entries": [[np.float64(1.5), 0], [2, -1]]}, "m")
+    assert np.array_equal(back, np.array([[1.5, 2 - 1j]]))
+    assert matrix_from_json({"rows": 0, "cols": 3, "entries": []}, "m").shape == (0, 3)
+
+
+def test_matrix_writer_matches_per_entry_floats():
+    rng = np.random.default_rng(97)
+    m = complex_gaussian(rng, (4, 3))
+    m[0, 0] = complex(-0.0, 0.0)
+    entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    assert json.dumps(matrix_to_json(m)["entries"]) == json.dumps(entries)
+
+
 def test_system_round_trip_is_bit_exact(tmp_path):
     ksys = random_instance(91)
     path = tmp_path / "sys.json"
