@@ -5,8 +5,9 @@ mixed operator M = sum_j L_j^* T_j restricts to the identity on range(K).
 The defect ``||(I - M) P||`` (P the orthogonal projector onto range(K))
 measures how far a candidate is from that identity; any defect below one
 supports Neumann-series correction and reconstruction. Operators "on
-range(K)" are represented as full matrices pre/post-composed with P, so
-all restricted norms are norms of ordinary matrices.
+range(K)" are compressed to an orthonormal basis B of range(K) (P = B B^*),
+so every restricted norm and inverse is taken on r x r or n x r matrices,
+r the rank of K.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NotInRangeError,
     RangeConditionError,
 )
-from .gsystem import GSystem, KGSystem, frame_operator, range_condition_holds
+from .gsystem import GSystem, KGSystem, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
 
 # Relative projector residual below which a vector counts as in range(K).
@@ -117,9 +118,39 @@ def canonical_kg_dual(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> GSy
     """
     if not range_condition_holds(ksys, rank_tol):
         raise RangeConditionError("range(K) is not contained in range(S)")
-    s = frame_operator(ksys.system)
-    factor = linops.pinv(s, rank_tol) @ linops.range_projector(ksys.k, rank_tol)
-    return ksys.system.with_matrix(ksys.system.matrix @ factor)
+    spec = ksys.spectrum
+    support = spec.s_support(rank_tol)
+    v = spec.s_evecs[:, support]
+    b = spec.k_range(rank_tol)
+    # pinv(S) P = V diag(1/w) V^* B B^* over the support of S
+    left = (v / spec.s_evals[support]) @ (v.conj().T @ b)
+    return ksys.system.with_matrix((ksys.system.matrix @ left) @ b.conj().T)
+
+
+def _certify(system: GSystem, candidate: GSystem, k, exact_tol: float, rank_tol: float):
+    """The certificate of a candidate, the range basis B of K and C = B^* M B.
+
+    Both defects are norms on range(K) only: ||(I - M) P|| = ||B - M B|| and
+    ||P (I - M^*) P|| = ||I_r - C||.
+    """
+    m = mixed_operator(system, candidate)
+    k_op = linops.as_operator(k)
+    n = system.ambient_dim
+    if k_op.shape != (n, n):
+        raise DimMismatchError(f"K has shape {k_op.shape}, expected ({n}, {n})")
+    b = linops.range_basis(k_op, rank_tol)
+    mb = m @ b
+    c = b.conj().T @ mb
+    defect = linops.op_norm(b - mb)
+    interchange = linops.op_norm(np.eye(c.shape[0]) - c)
+    return DualCertificate(defect, defect <= exact_tol, defect < 1.0, interchange), b, c
+
+
+def _require_approx_dual(system: GSystem, candidate: GSystem, k, rank_tol: float):
+    cert, b, c = _certify(system, candidate, k, DUAL_EXACT_TOL, rank_tol)
+    if not cert.is_approx_dual:
+        raise NotApproxDualError(f"defect {cert.defect:.6g} is not below 1")
+    return cert, b, c
 
 
 def approx_defect(
@@ -130,16 +161,7 @@ def approx_defect(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> DualCertificate:
     """Measure both duality defects of a candidate family relative to K."""
-    m = mixed_operator(system, candidate)
-    k_op = linops.as_operator(k)
-    n = system.ambient_dim
-    if k_op.shape != (n, n):
-        raise DimMismatchError(f"K has shape {k_op.shape}, expected ({n}, {n})")
-    p = linops.range_projector(k_op, rank_tol)
-    eye = np.eye(n, dtype=np.complex128)
-    defect = linops.op_norm((eye - m) @ p)
-    interchange = linops.op_norm(p @ (eye - m.conj().T) @ p)
-    return DualCertificate(defect, defect <= exact_tol, defect < 1.0, interchange)
+    return _certify(system, candidate, k, exact_tol, rank_tol)[0]
 
 
 def is_kg_dual(system: GSystem, candidate: GSystem, k, tol: float = DUAL_EXACT_TOL) -> bool:
@@ -159,13 +181,9 @@ def exactify_dual(
     P M P taken on range(K) and extended by zero, so the corrected mixed
     operator restricts to the identity there. Requires defect < 1.
     """
-    cert = approx_defect(system, candidate, k, rank_tol=rank_tol)
-    if not cert.is_approx_dual:
-        raise NotApproxDualError(f"defect {cert.defect:.6g} is not below 1")
-    m = mixed_operator(system, candidate)
-    p = linops.range_projector(linops.as_operator(k), rank_tol)
-    m_inv = linops.pinv(p @ m @ p, rank_tol)
-    return candidate.with_matrix(candidate.matrix @ m_inv)
+    _, b, c = _require_approx_dual(system, candidate, k, rank_tol)
+    # pinv(P M P) = B pinv(B^* M B) B^*
+    return candidate.with_matrix(((candidate.matrix @ b) @ linops.pinv(c, rank_tol)) @ b.conj().T)
 
 
 def truncated_neumann_dual(
@@ -183,18 +201,16 @@ def truncated_neumann_dual(
     """
     if num_terms < 0:
         raise ValueError("num_terms must be non-negative")
-    cert = approx_defect(system, candidate, k, rank_tol=rank_tol)
-    if not cert.is_approx_dual:
-        raise NotApproxDualError(f"defect {cert.defect:.6g} is not below 1")
-    m = mixed_operator(system, candidate)
-    p = linops.range_projector(linops.as_operator(k), rank_tol)
-    q = p - p @ m @ p
-    term = p.copy()
-    acc = p.copy()
+    _, b, c = _require_approx_dual(system, candidate, k, rank_tol)
+    # P - P M P = B (I_r - C) B^*, so T_N = B (sum_n (I_r - C)^n) B^*
+    eye = np.eye(c.shape[0], dtype=np.complex128)
+    q = eye - c
+    term = eye
+    acc = eye.copy()
     for _ in range(num_terms):
         term = q @ term
         acc += term
-    return candidate.with_matrix(candidate.matrix @ acc)
+    return candidate.with_matrix(((candidate.matrix @ b) @ acc) @ b.conj().T)
 
 
 def neumann_reconstruct(
@@ -219,15 +235,17 @@ def neumann_reconstruct(
     NotApproxDualError
         If the measured defect is not below 1.
     """
-    cert = approx_defect(system, candidate, k, rank_tol=rank_tol)
-    if not cert.is_approx_dual:
-        raise NotApproxDualError(f"defect {cert.defect:.6g} is not below 1")
+    cert, b, _ = _require_approx_dual(system, candidate, k, rank_tol)
     f = linops.as_vector(target)
     if f.shape[0] != system.ambient_dim:
         raise DimMismatchError(f"vector has length {f.shape[0]}, expected {system.ambient_dim}")
-    p = linops.range_projector(linops.as_operator(k), rank_tol)
+    b_star = b.conj().T
+
+    def project(v: np.ndarray) -> np.ndarray:
+        return b @ (b_star @ v)
+
     f_norm = float(np.linalg.norm(f))
-    if float(np.linalg.norm(f - p @ f)) > MEMBERSHIP_RTOL * f_norm:
+    if float(np.linalg.norm(f - project(f))) > MEMBERSHIP_RTOL * f_norm:
         raise NotInRangeError("target vector is not in range(K)")
 
     def apply_mixed(v: np.ndarray) -> np.ndarray:
@@ -235,7 +253,7 @@ def neumann_reconstruct(
         # L^* y = conj(L^T conj(y)), which copies no matrix
         return (system.matrix.T @ (candidate.matrix @ v).conj()).conj()
 
-    term = p @ apply_mixed(f)
+    term = project(apply_mixed(f))
     approx = term.copy()
     iterates = [approx.copy()]
     errors = [float(np.linalg.norm(f - approx))]
@@ -243,7 +261,7 @@ def neumann_reconstruct(
     for step in range(1, num_steps + 1):
         if errors[-1] <= NEUMANN_STOP_RTOL * f_norm:
             break
-        term = p @ (term - apply_mixed(term))
+        term = project(term - apply_mixed(term))
         approx += term
         iterates.append(approx.copy())
         errors.append(float(np.linalg.norm(f - approx)))
@@ -268,9 +286,9 @@ def perturbed_dual(
         return base
     n = ksys.ambient_dim
     rng = np.random.default_rng(seed)
-    p = linops.range_projector(ksys.k, rank_tol)
+    b = ksys.spectrum.k_range(rank_tol)
     g = _complex_gaussian(rng, (n, n))
-    scale = linops.op_norm(p @ g @ p)
+    scale = linops.op_norm(b.conj().T @ g @ b)  # ||P G P||
     g *= defect / scale
     factor = np.eye(n, dtype=np.complex128) + g
     return base.with_matrix(base.matrix @ factor)
@@ -324,8 +342,8 @@ def lift_to_vector_frames(
     vector_defect = linops.op_norm(eye - lifted_mixed)
     restricted: float | None = None
     if k is not None:
-        p = linops.range_projector(linops.as_operator(k), rank_tol)
-        restricted = linops.op_norm(p @ (eye - swapped) @ p)
+        b = linops.range_basis(k, rank_tol)
+        restricted = linops.op_norm(np.eye(b.shape[1]) - b.conj().T @ swapped @ b)  # ||P (I - M') P||
     return LiftResult(
         tuple(vectors_e), tuple(vectors_f), residual, operator_defect, vector_defect, restricted
     )

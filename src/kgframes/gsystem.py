@@ -14,6 +14,7 @@ optimal constants and classifies systems along the frame/tight-frame axes.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -109,6 +110,83 @@ class KGSystem:
     def ambient_dim(self) -> int:
         return self.system.ambient_dim
 
+    @functools.cached_property
+    def spectrum(self) -> "KGSpectrum":
+        """The spectral factorization of this system, computed on first use.
+
+        Instances are immutable, so the cached factorization never goes stale.
+        """
+        return KGSpectrum.of(self)
+
+
+@dataclass(frozen=True, eq=False)
+class KGSpectrum:
+    """One eigendecomposition of S and one reduced SVD of K.
+
+    ``s_evals`` (ascending) and ``s_evecs`` are the eigenpairs of the frame
+    operator S. ``k_svals`` (descending) are the singular values of K and
+    ``k_range_basis`` its leading left singular vectors, one per singular
+    value above the machine-precision cutoff (``tol = 0``). Everything else
+    (ranks, range bases, S^+, P_K, the S^{+/2} K norm) depends on a
+    tolerance and is derived per call, so no n x n operator besides the
+    eigenvectors of S is kept alive.
+    """
+
+    s_evals: np.ndarray
+    s_evecs: np.ndarray
+    k_svals: np.ndarray
+    k_range_basis: np.ndarray
+
+    @classmethod
+    def of(cls, ksys: KGSystem) -> "KGSpectrum":
+        w, v = np.linalg.eigh(frame_operator(ksys.system))
+        u, sv, _ = np.linalg.svd(ksys.k, full_matrices=False)
+        rank = np.count_nonzero(sv > linops.rank_cutoff(float(sv[0]), sv.size, 0.0))
+        basis = np.array(u[:, :rank])  # a copy, so the rest of U is freed
+        for a in (w, v, sv, basis):
+            a.setflags(write=False)
+        return cls(w, v, sv, basis)
+
+    def s_support(self, tol: float) -> np.ndarray:
+        """Mask of the eigenvalues of S above ``tol`` times the largest: range(S)."""
+        top = max(float(self.s_evals[-1]), 0.0)
+        return self.s_evals > linops.rank_cutoff(top, self.s_evals.size, tol)
+
+    @property
+    def k_norm(self) -> float:
+        """||K||, the largest singular value of K."""
+        return float(self.k_svals[0])
+
+    def k_rank(self, tol: float) -> int:
+        """Numerical rank of K at the relative cutoff."""
+        cutoff = linops.rank_cutoff(self.k_norm, self.k_svals.size, tol)
+        return int(np.count_nonzero(self.k_svals > cutoff))
+
+    def k_range(self, tol: float) -> np.ndarray:
+        """Orthonormal basis of range(K) at the cutoff, one vector per column.
+
+        A cutoff below machine precision gives the machine-precision basis.
+        """
+        return self.k_range_basis[:, : self.k_rank(tol)]
+
+    def k_lower(self, tol: float) -> float:
+        """The lower bound of K^* (smallest singular value of K).
+
+        Reported as 0.0 when it lies below the rank cutoff, i.e. when K is
+        numerically singular.
+        """
+        return float(self.k_svals[-1]) if self.k_rank(tol) == self.k_svals.size else 0.0
+
+    def k_rows(self, rows=slice(None)) -> np.ndarray:
+        """The given rows of K, up to a unitary on the right, in the eigenbasis V of S.
+
+        Computed as (V^* U) diag(sigma) from the SVD K = U diag(sigma) W^*
+        over the kept range basis, so row i is the component of K along the
+        i-th eigenvector of S.
+        """
+        basis = self.k_range_basis
+        return (self.s_evecs[:, rows].conj().T @ basis) * self.k_svals[: basis.shape[1]]
+
 
 @dataclass(frozen=True, eq=False)
 class BlockSequence:
@@ -162,7 +240,8 @@ class ClassificationReport:
     """Frame class of a system plus the lower-bound data for ``K^*``.
 
     ``k_star_lower_bound`` is the largest C with ``||K^* f|| >= C ||f||``
-    (the smallest singular value of K). ``g_frame_implied`` is True when
+    (the smallest singular value of K, reported as 0.0 when it falls below
+    the rank cutoff). ``g_frame_implied`` is True when
     that constant is positive and the system is a K-g-frame, in which case
     the system is guaranteed to be a g-frame as well.
     """
@@ -227,19 +306,27 @@ def frame_operator(sys: GSystem) -> np.ndarray:
     return (s + s.conj().T) / 2.0
 
 
+def _range_holds(outside: np.ndarray, k_norm: float, range_rtol: float) -> bool:
+    """Whether ||(I - P_S) K|| <= range_rtol ||K||.
+
+    ``outside`` holds the rows of K (in the eigenbasis of S) along the kernel
+    of S. Their Frobenius norm bounds the operator norm from above, so the
+    dense norm is taken only when that bound alone does not decide.
+    """
+    if k_norm == 0.0:
+        return True
+    limit = range_rtol * k_norm
+    return float(np.linalg.norm(outside)) <= limit or linops.op_norm(outside) <= limit
+
+
 def range_condition_holds(
     ksys: KGSystem,
     rank_tol: float = DEFAULT_RANK_TOL,
     range_rtol: float = RANGE_INCLUSION_RTOL,
 ) -> bool:
     """Whether range(K) is contained in range(S) at the working tolerance."""
-    s = frame_operator(ksys.system)
-    p = linops.range_projector(s, rank_tol)
-    k = ksys.k
-    k_norm = linops.op_norm(k)
-    if k_norm == 0.0:
-        return True
-    return linops.op_norm(k - p @ k) <= range_rtol * k_norm
+    spec = ksys.spectrum
+    return _range_holds(spec.k_rows(~spec.s_support(rank_tol)), spec.k_norm, range_rtol)
 
 
 def optimal_bounds(
@@ -268,27 +355,32 @@ def optimal_bounds(
         optimal g-frame lower bound the smallest. The optimal lower bound
         relative to K is ``1 / ||S^{+/2} K||^2``, valid exactly when
         range(K) lies inside range(S); otherwise the field is None.
+        Everything comes from the cached :attr:`KGSystem.spectrum`; the
+        one dense computation per call is the norm of S^{+/2} K.
     """
-    s = frame_operator(ksys.system)
-    evals = linops.hermitian_eigvals(s)
-    bessel = max(float(evals[-1]), 0.0)
-    g_lower = max(float(evals[0]), 0.0)
+    spec = ksys.spectrum
+    w = spec.s_evals
+    bessel = max(float(w[-1]), 0.0)
+    g_lower = max(float(w[0]), 0.0)
 
-    k = ksys.k
-    k_norm = linops.op_norm(k)
+    # K in the eigenbasis of S: S^{+/2} K is its support rows over sqrt(w)
+    y = spec.k_rows()
+    support = spec.s_support(rank_tol)
     kg_lower: float | None = None
-    if k_norm > 0.0 and range_condition_holds(ksys, rank_tol, range_rtol):
-        half_inv = linops.psd_sqrt_pinv(s, rank_tol)
-        denom = linops.op_norm(half_inv @ k)
+    if spec.k_norm > 0.0 and _range_holds(y[~support], spec.k_norm, range_rtol):
+        denom = linops.op_norm(y[support] / np.sqrt(w[support])[:, np.newaxis])
         if denom > 0.0:
             kg_lower = 1.0 / (denom * denom)
 
     tight = False
     constant: float | None = None
     if kg_lower is not None:
-        target = kg_lower * (k @ k.conj().T)
-        scale = max(float(np.linalg.norm(s)), float(np.linalg.norm(target)))
-        if scale > 0.0 and float(np.linalg.norm(s - target)) <= tight_rtol * scale:
+        # S - A K K^* in the same basis is diag(w) - A y y^*; ||S||_F = ||w||
+        # and ||K K^*||_F = ||sigma^2||
+        diff = -kg_lower * (y @ y.conj().T)
+        diff[np.diag_indices_from(diff)] += w
+        scale = max(float(np.linalg.norm(w)), kg_lower * float(np.linalg.norm(spec.k_svals**2)))
+        if scale > 0.0 and float(np.linalg.norm(diff)) <= tight_rtol * scale:
             tight = True
             constant = kg_lower
     return BoundReport(bessel, g_lower, kg_lower, tight, constant)
@@ -305,7 +397,7 @@ def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationRep
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     report = optimal_bounds(ksys, rank_tol=tol)
-    c = float(linops.svd_values(ksys.k)[-1]) if ksys.k.size else 0.0
+    c = ksys.spectrum.k_lower(tol)
 
     is_g = report.g_lower_opt > tol * max(report.bessel_upper_opt, 1e-300)
     is_kg = report.kg_lower_opt is not None

@@ -70,12 +70,19 @@ def hermitian_eigvals(m) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
-def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
-    if s.size == 0:
-        return 0.0
+def rank_cutoff(top: float, dim: int, tol: float) -> float:
+    """The cutoff ``tol * top`` below which a singular value or eigenvalue is zero.
+
+    ``top`` is the largest one and ``dim`` the larger matrix dimension;
+    ``tol = 0`` selects the machine-precision default ``dim * eps``.
+    """
     if tol == 0.0:
-        tol = max(shape) * np.finfo(np.float64).eps
-    return tol * float(s[0])
+        tol = dim * np.finfo(np.float64).eps
+    return tol * top
+
+
+def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
+    return rank_cutoff(float(s[0]), max(shape), tol) if s.size else 0.0
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -110,19 +117,27 @@ def pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return (vh.conj().T * s_inv) @ u.conj().T
 
 
+def range_basis(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the column space of ``m``, one vector per column.
+
+    The columns are the leading left singular vectors; their number is the
+    numerical rank of ``m`` at the given relative cutoff (zero for a zero or
+    empty matrix).
+    """
+    a = as_operator(m)
+    if a.size == 0 or not np.any(a):
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : int(np.count_nonzero(s > _sv_cutoff(s, a.shape, tol)))]
+
+
 def range_projector(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the column space of ``m``.
 
     The result is Hermitian and idempotent; its trace equals the numerical
     rank of ``m`` at the given relative cutoff.
     """
-    a = as_operator(m)
-    rows = a.shape[0]
-    if a.size == 0 or not np.any(a):
-        return np.zeros((rows, rows), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.count_nonzero(s > _sv_cutoff(s, a.shape, tol)))
-    basis = u[:, :r]
+    basis = range_basis(m, tol)
     p = basis @ basis.conj().T
     return (p + p.conj().T) / 2.0
 
@@ -146,14 +161,16 @@ def psd_sqrt_pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Raises
     ------
     NotPSDError
-        If ``m`` is not Hermitian or has an eigenvalue below ``-tol * |m|``.
+        If ``m`` is not Hermitian or has an eigenvalue below ``-tol * |m|``,
+        both relative to the largest entry ``|m|`` of ``m`` itself, so the
+        verdict does not change when ``m`` is rescaled.
     """
     a = as_operator(m)
     if a.shape[0] != a.shape[1]:
         raise NotPSDError(f"matrix is not square: {a.shape}")
     if a.size == 0:
         return a.copy()
-    scale = max(float(np.abs(a).max()), 1.0)
+    scale = float(np.abs(a).max())
     if tol == 0.0:
         tol = a.shape[0] * np.finfo(np.float64).eps
     if float(np.abs(a - a.conj().T).max()) > tol * scale:

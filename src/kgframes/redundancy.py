@@ -97,10 +97,10 @@ def _survival_floor(ksys: KGSystem) -> float:
     B = ||L||^2 is the full system's Bessel bound, so the threshold scales with
     the blocks and K; it is infinite for K = 0.
     """
-    k_norm = linops.op_norm(ksys.k)
-    if k_norm == 0.0:
+    spec = ksys.spectrum
+    if spec.k_norm == 0.0:
         return math.inf
-    return SURVIVAL_TOL * linops.op_norm(ksys.system.matrix) ** 2 / (k_norm * k_norm)
+    return SURVIVAL_TOL * max(float(spec.s_evals[-1]), 0.0) / (spec.k_norm * spec.k_norm)
 
 
 def erasure_norm_count(
@@ -115,9 +115,8 @@ def erasure_norm_count(
     the reduced system.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
-    svals = linops.svd_values(ksys.k)
-    c = float(svals[-1]) if svals.size else 0.0
-    if c <= rank_tol * (float(svals[0]) if svals.size else 0.0) or c == 0.0:
+    c = ksys.spectrum.k_lower(rank_tol)
+    if c == 0.0:
         raise KStarNotBoundedBelowError("the adjoint of K is not bounded below")
     for j in idx:
         norm_j = linops.op_norm(ksys.system.blocks[j])
@@ -157,9 +156,8 @@ def erasure_invertibility(
     stored alongside but is not a guaranteed bound.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
-    s = frame_operator(ksys.system)
-    svals = linops.svd_values(s)
-    if not svals.size or float(svals[-1]) <= rank_tol * float(svals[0]):
+    spec = ksys.spectrum
+    if not spec.s_support(rank_tol).all():
         raise FrameOperatorSingularError("frame operator is singular at tolerance")
     full = optimal_bounds(ksys, rank_tol=rank_tol)
     if full.kg_lower_opt is None or full.kg_lower_opt <= 0.0:
@@ -168,7 +166,9 @@ def erasure_invertibility(
 
     n = ksys.ambient_dim
     s_removed = partial_frame_operator(ksys.system, idx)
-    t = np.eye(n, dtype=np.complex128) - np.linalg.solve(s, s_removed)
+    # S^{-1} S_I through the eigenpairs S = V diag(w) V^*
+    v = spec.s_evecs
+    t = np.eye(n, dtype=np.complex128) - (v / spec.s_evals) @ (v.conj().T @ s_removed)
     tvals = linops.svd_values(t)
     survives = bool(tvals.size and float(tvals[0]) > 0.0
                     and float(tvals[-1]) > INVERTIBILITY_TOL * float(tvals[0]))

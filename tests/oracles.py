@@ -213,3 +213,39 @@ def unit_norm_instance(seed: int):
     svals = np.linspace(1.0, c_min, n)
     k = u @ np.diag(svals.astype(np.complex128)) @ v.conj().T
     return KGSystem(GSystem(n, tuple(blocks)), k)
+
+
+def projector_of(k: np.ndarray) -> np.ndarray:
+    """The n x n orthogonal projector P = K pinv(K) onto range(K)."""
+    return k @ np.linalg.pinv(k, rcond=1e-10)
+
+
+def projector_defects_of(system: GSystem, candidate: GSystem, k: np.ndarray):
+    """The defect pair from full n x n projectors: ||(I - M) P|| and ||P (I - M^*) P||."""
+    m = mixed_operator_of(system, candidate)
+    p = projector_of(k)
+    eye = np.eye(m.shape[0])
+    return (float(np.linalg.norm((eye - m) @ p, 2)),
+            float(np.linalg.norm(p @ (eye - m.conj().T) @ p, 2)))
+
+
+def projector_exactify_factor_of(system: GSystem, candidate: GSystem, k: np.ndarray) -> np.ndarray:
+    """pinv(P M P), the factor that makes a candidate an exact dual."""
+    m = mixed_operator_of(system, candidate)
+    p = projector_of(k)
+    return np.linalg.pinv(p @ m @ p, rcond=1e-10)
+
+
+def projector_neumann_factor_of(
+    system: GSystem, candidate: GSystem, k: np.ndarray, num_terms: int
+) -> np.ndarray:
+    """sum_{n=0..N} (P - P M P)^n P, the truncated Neumann correction factor."""
+    m = mixed_operator_of(system, candidate)
+    p = projector_of(k)
+    q = p - p @ m @ p
+    term = p.copy()
+    acc = p.copy()
+    for _ in range(num_terms):
+        term = q @ term
+        acc += term
+    return acc

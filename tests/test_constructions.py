@@ -250,3 +250,19 @@ def test_overlap_chain_is_tight_and_consistent():
     assert abs(rep.kg_constant - 2.0) <= 1e-8
     assert not rep.is_tight_g
     assert rep.iff_consistent
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6])
+def test_tight_relation_verdict_does_not_depend_on_scale(c):
+    # S = diag(1, 4) = K K^* / c^2: tight relative to K, and K K^* is not scalar
+    l = np.diag([1.0, 2.0]).astype(np.complex128)
+    rep = tight_relation_check(KGSystem(GSystem(2, (l,)), c * l))
+    assert abs(rep.kg_constant * c * c - 1.0) < 1e-9
+    assert not rep.is_tight_g
+    assert rep.kk_star_scalar is None
+    assert rep.iff_consistent
+    # K = c I over the identity block: K K^* = c^2 I and the system is g-tight
+    rep = tight_relation_check(KGSystem(GSystem(2, (np.eye(2),)), c * np.eye(2)))
+    assert rep.is_tight_g
+    assert rep.kk_star_scalar is not None and abs(rep.kk_star_scalar - c * c) <= 1e-9 * c * c
+    assert rep.iff_consistent

@@ -174,3 +174,14 @@ def test_psd_sqrt_pinv_rejects_indefinite():
         psd_sqrt_pinv(np.diag([1.0, -1.0]))
     with pytest.raises(NotPSDError):
         psd_sqrt_pinv(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_psd_sqrt_pinv_verdict_does_not_depend_on_scale(scale):
+    with pytest.raises(NotPSDError, match="negative eigenvalue"):
+        psd_sqrt_pinv(scale * np.diag([1.0, -0.5]))
+    with pytest.raises(NotPSDError, match="not Hermitian"):
+        psd_sqrt_pinv(scale * np.array([[1.0, 0.3], [0.0, 1.0]]))
+    # the same matrices made PSD are accepted at both scales
+    q = psd_sqrt_pinv(scale * np.diag([1.0, 0.5]))
+    assert np.allclose(q * np.sqrt(scale), np.diag([1.0, np.sqrt(2.0)]), atol=1e-12)

@@ -1,0 +1,264 @@
+"""Tests for the cached spectral factorization of a K-g-system.
+
+Bounds, verdicts and duals computed from ``KGSystem.spectrum`` are checked
+against the independent oracles on edge inputs, against metamorphic
+relations (block permutation, unitaries on the coefficient spaces,
+rescaling), and, for the duals that take a raw K, against the n x n
+projector formulas.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgframes import (
+    Classification,
+    GSystem,
+    KGSystem,
+    RangeConditionError,
+    approx_defect,
+    canonical_kg_dual,
+    classify,
+    exactify_dual,
+    optimal_bounds,
+    overlap_chain_system,
+    perturbed_dual,
+    random_kg_system,
+    range_condition_holds,
+    truncated_neumann_dual,
+)
+
+from oracles import (
+    bisect_kg_lower_bound,
+    complex_gaussian,
+    frame_operator_of,
+    projector_defects_of,
+    projector_exactify_factor_of,
+    projector_neumann_factor_of,
+    random_instance,
+    range_inclusion_oracle,
+)
+
+# Seeded and bounded, so the properties cost about a second in all.
+PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
+KG_RTOL = 1e-7
+BOUND_RTOL = 1e-9
+
+
+def _deficient_instance(seed: int) -> KGSystem:
+    """Fewer block rows than the ambient dimension, so S is singular, and
+    K = L^* G, so range(K) lies inside range(S): a K-g-frame, not a g-frame."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    dims = [int(d) for d in rng.integers(1, 3, size=int(rng.integers(1, 4)))]
+    while sum(dims) >= n:
+        dims.pop()
+    blocks = tuple(complex_gaussian(rng, (d, n)) for d in dims)
+    stacked = np.vstack(blocks)
+    k = stacked.conj().T @ complex_gaussian(rng, (stacked.shape[0], n))
+    return KGSystem(GSystem(n, blocks), k)
+
+
+def _instance(kind: str, seed: int) -> KGSystem:
+    if kind == "random":
+        return random_instance(seed)
+    if kind == "deficient":
+        return _deficient_instance(seed)
+    return overlap_chain_system(3 + seed % 8)
+
+
+def _edge_systems() -> dict[str, KGSystem]:
+    rng = np.random.default_rng(2024)
+    n = 6
+    blocks = tuple(complex_gaussian(rng, (d, n)) for d in (3, 2, 3))
+    zero_blocks = (np.zeros((2, n)), np.zeros((3, n)))
+    k_full = complex_gaussian(rng, (n, n))
+    return {
+        "rank_deficient_s": _deficient_instance(5),
+        "chain": overlap_chain_system(7),
+        "zero_k": KGSystem(GSystem(n, blocks), np.zeros((n, n))),
+        "rank_deficient_k": random_kg_system(n, (3, 2, 3), 2, seed=11),
+        "empty_block": KGSystem(GSystem(n, (blocks[0], np.zeros((0, n)), blocks[1], blocks[2])), k_full),
+        "zero_blocks": KGSystem(GSystem(n, zero_blocks), k_full),
+        "zero_blocks_zero_k": KGSystem(GSystem(n, zero_blocks), np.zeros((n, n))),
+    }
+
+
+EDGE = _edge_systems()
+
+
+def _oracle_label(s: np.ndarray, k: np.ndarray, kg_lower) -> str:
+    evals = np.linalg.eigvalsh(s)
+    if evals[0] > 1e-10 * max(evals[-1], 1e-300):
+        return "tight_g_frame" if evals[-1] - evals[0] <= 1e-8 * evals[-1] else "g_frame"
+    if kg_lower is None:
+        return "g_bessel_only"
+    tight = np.linalg.norm(s - kg_lower * (k @ k.conj().T)) <= 1e-6 * np.linalg.norm(s)
+    return "tight_kg_frame" if tight else "kg_frame"
+
+
+@pytest.mark.parametrize("name", sorted(EDGE))
+def test_spectral_bounds_match_oracles_on_edge_inputs(name):
+    ksys = EDGE[name]
+    s = frame_operator_of(ksys.system)
+    k = np.array(ksys.k)
+    evals = np.linalg.eigvalsh(s)
+    scale = max(float(evals[-1]), 0.0)
+    rep = optimal_bounds(ksys)
+    assert abs(rep.bessel_upper_opt - scale) <= BOUND_RTOL * scale
+    assert abs(rep.g_lower_opt - max(float(evals[0]), 0.0)) <= BOUND_RTOL * scale
+
+    holds = range_condition_holds(ksys)
+    assert holds == range_inclusion_oracle(s, k)
+    if holds and np.any(k):
+        oracle = bisect_kg_lower_bound(s, k)
+        assert rep.kg_lower_opt is not None
+        assert abs(rep.kg_lower_opt - oracle) <= KG_RTOL * oracle
+    else:
+        assert rep.kg_lower_opt is None
+
+    assert classify(ksys).label.value == _oracle_label(s, k, rep.kg_lower_opt)
+    if holds:
+        defect, _ = projector_defects_of(ksys.system, canonical_kg_dual(ksys), k)
+        assert defect <= 1e-9
+    else:
+        with pytest.raises(RangeConditionError):
+            canonical_kg_dual(ksys)
+
+
+def test_lower_bound_of_k_star_below_the_rank_cutoff_is_zero():
+    for name in ("chain", "zero_k", "rank_deficient_k", "rank_deficient_s"):
+        assert classify(EDGE[name]).k_star_lower_bound == 0.0
+    c = float(np.linalg.svd(EDGE["empty_block"].k, compute_uv=False)[-1])
+    assert abs(classify(EDGE["empty_block"]).k_star_lower_bound - c) <= 1e-12 * c
+
+
+def _assert_bounds_scaled(rep, base, block_factor: float, kg_factor: float):
+    """``rep`` is ``base`` with the Bessel and g bounds times ``block_factor``
+    and the bound relative to K times ``kg_factor``; the verdicts agree."""
+    bessel = base.bessel_upper_opt * block_factor
+    assert abs(rep.bessel_upper_opt - bessel) <= BOUND_RTOL * bessel
+    assert abs(rep.g_lower_opt - base.g_lower_opt * block_factor) <= BOUND_RTOL * bessel
+    assert (rep.kg_lower_opt is None) == (base.kg_lower_opt is None)
+    if base.kg_lower_opt is not None:
+        want = base.kg_lower_opt * kg_factor
+        assert abs(rep.kg_lower_opt - want) <= KG_RTOL * want
+    assert rep.tight_kg == base.tight_kg
+
+
+@pytest.mark.parametrize("name", sorted(EDGE))
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+def test_edge_inputs_scaled_by_1e6_keep_their_verdicts(name, c):
+    ksys = EDGE[name]
+    base = optimal_bounds(ksys)
+    label = classify(ksys).label
+    for scaled, block_factor, kg_factor in (
+        (KGSystem(ksys.system.with_matrix(c * ksys.system.matrix), ksys.k), c * c, c * c),
+        (KGSystem(ksys.system, c * ksys.k), 1.0, 1.0 / (c * c)),
+    ):
+        _assert_bounds_scaled(optimal_bounds(scaled), base, block_factor, kg_factor)
+        assert range_condition_holds(scaled) == range_condition_holds(ksys)
+        assert classify(scaled).label is label
+
+
+kinds = st.sampled_from(["random", "deficient", "chain"])
+seeds = st.integers(0, 10_000)
+
+
+@PROPERTY
+@given(kind=kinds, seed=seeds)
+def test_bounds_and_verdicts_invariant_under_block_permutation(kind, seed):
+    ksys = _instance(kind, seed)
+    order = np.random.default_rng(seed).permutation(ksys.system.num_blocks)
+    permuted = KGSystem(GSystem(ksys.ambient_dim, tuple(ksys.system.blocks[j] for j in order)), ksys.k)
+    _assert_bounds_scaled(optimal_bounds(permuted), optimal_bounds(ksys), 1.0, 1.0)
+    assert classify(permuted).label is classify(ksys).label
+
+
+@PROPERTY
+@given(kind=kinds, seed=seeds)
+def test_bounds_and_verdicts_invariant_under_coefficient_unitaries(kind, seed):
+    ksys = _instance(kind, seed)
+    rng = np.random.default_rng(seed)
+    rotated = []
+    for block in ksys.system.blocks:
+        q, _ = np.linalg.qr(complex_gaussian(rng, (block.shape[0], block.shape[0])))
+        rotated.append(q @ block)
+    turned = KGSystem(GSystem(ksys.ambient_dim, tuple(rotated)), ksys.k)
+    _assert_bounds_scaled(optimal_bounds(turned), optimal_bounds(ksys), 1.0, 1.0)
+    assert classify(turned).label is classify(ksys).label
+
+
+@PROPERTY
+@given(kind=kinds, seed=seeds, exponent=st.integers(-6, 6), phase=st.floats(0.0, 2 * np.pi))
+def test_bounds_scale_by_modulus_squared_under_block_scaling(kind, seed, exponent, phase):
+    ksys = _instance(kind, seed)
+    c = 10.0**exponent * np.exp(1j * phase)
+    scaled = KGSystem(ksys.system.with_matrix(c * ksys.system.matrix), ksys.k)
+    factor = abs(c) ** 2
+    _assert_bounds_scaled(optimal_bounds(scaled), optimal_bounds(ksys), factor, factor)
+    assert classify(scaled).label is classify(ksys).label
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compressed_dual_paths_match_projector_formulas(seed):
+    ksys = _deficient_instance(seed) if seed % 2 else random_instance(seed)
+    system, k = ksys.system, np.array(ksys.k)
+    candidate = perturbed_dual(ksys, 0.2 + 0.1 * (seed % 5), seed=seed)
+
+    cert = approx_defect(system, candidate, k)
+    defect, interchange = projector_defects_of(system, candidate, k)
+    assert abs(cert.defect - defect) <= 1e-10
+    assert abs(cert.interchange_defect - interchange) <= 1e-10
+
+    def assert_factor(result, factor):
+        want = candidate.matrix @ factor
+        assert np.max(np.abs(result.matrix - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
+
+    assert_factor(exactify_dual(system, candidate, k), projector_exactify_factor_of(system, candidate, k))
+    for num_terms in (0, 1, 6):
+        assert_factor(truncated_neumann_dual(system, candidate, k, num_terms),
+                      projector_neumann_factor_of(system, candidate, k, num_terms))
+
+
+def _count_decompositions(monkeypatch) -> dict[str, int]:
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm2": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            counts["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return counts
+
+
+def test_one_factorization_serves_bounds_classification_and_dual(monkeypatch):
+    base = random_kg_system(16, [4] * 6, 7, seed=5)
+    ksys = KGSystem(base.system, base.k)  # a new instance: nothing cached yet
+    counts = _count_decompositions(monkeypatch)
+    classify(ksys)
+    canonical_kg_dual(ksys)
+    optimal_bounds(ksys)
+    # one eigh of S and one SVD of K in all; one S^{+/2} K norm per bounds call
+    assert counts == {"eigh": 1, "eigvalsh": 0, "svd": 1, "norm2": 2}
+
+
+def test_generated_system_arrives_with_its_factorization(monkeypatch):
+    ksys = random_kg_system(12, [3] * 5, 4, seed=9)
+    spectrum = ksys.spectrum
+    counts = _count_decompositions(monkeypatch)
+    assert classify(ksys).label is Classification.G_FRAME
+    assert ksys.spectrum is spectrum
+    assert counts["eigh"] == counts["svd"] == 0
