@@ -176,7 +176,7 @@ class SubspaceFrameFamily:
             evals = linops.hermitian_eigvals(cls.frame_operator_of(fam))
             top = max(float(evals[-1]), 0.0) if evals.size else 0.0
             bottom = float(evals[0]) if evals.size else 0.0
-            if bottom <= tol * max(top, 1e-300):
+            if bottom <= tol * top:
                 raise NotAFrameError(f"family {j} does not span its space")
             fams.append(fam)
             lowers.append(bottom)

@@ -24,6 +24,7 @@ from .errors import (
     NotApproxDualError,
     NotInRangeError,
     RangeConditionError,
+    TrivialRangeError,
 )
 from .gsystem import GSystem, KGSystem, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
@@ -277,7 +278,9 @@ def perturbed_dual(
     Right-composes the canonical dual with ``I + G`` for a random G scaled
     so that ``||P G P|| = defect``. The perturbation acts inside range(K),
     which keeps the mixed operator range-compatible: exactly the situation
-    in which the Neumann machinery applies.
+    in which the Neumann machinery applies. Raises
+    :class:`~kgframes.errors.TrivialRangeError` for a positive defect when
+    range(K) is {0} at ``rank_tol``, since no perturbation inside it has one.
     """
     if not 0.0 <= defect < 1.0:
         raise ValueError("defect must lie in [0, 1)")
@@ -287,6 +290,8 @@ def perturbed_dual(
     n = ksys.ambient_dim
     rng = np.random.default_rng(seed)
     b = ksys.spectrum.k_range(rank_tol)
+    if b.shape[1] == 0:
+        raise TrivialRangeError(f"range(K) is trivial, so no defect {defect} > 0 can be reached")
     g = _complex_gaussian(rng, (n, n))
     scale = linops.op_norm(b.conj().T @ g @ b)  # ||P G P||
     g *= defect / scale
@@ -325,7 +330,7 @@ def lift_to_vector_frames(
             )
         fam_op = SubspaceFrameFamily.frame_operator_of(fam)
         evals = linops.hermitian_eigvals(fam_op)
-        if not evals.size or float(evals[0]) <= rank_tol * max(float(evals[-1]), 1e-300):
+        if not evals.size or float(evals[0]) <= rank_tol * float(evals[-1]):
             raise NotAFrameError(f"family {j} does not span its space")
         duals = np.linalg.solve(fam_op, fam.T).T
         for vec, dual_vec in zip(fam, duals):

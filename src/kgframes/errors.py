@@ -83,5 +83,9 @@ class NotTightError(ComputationError):
     """The system is not tight, so the tightness analysis does not apply."""
 
 
+class TrivialRangeError(ComputationError):
+    """range(K) is {0} at the working tolerance."""
+
+
 class NotKGFrameError(ComputationError):
     """The system has no positive lower frame bound relative to K."""

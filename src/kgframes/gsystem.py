@@ -139,13 +139,20 @@ class KGSpectrum:
 
     @classmethod
     def of(cls, ksys: KGSystem) -> "KGSpectrum":
-        w, v = np.linalg.eigh(frame_operator(ksys.system))
         u, sv, _ = np.linalg.svd(ksys.k, full_matrices=False)
         rank = np.count_nonzero(sv > linops.rank_cutoff(float(sv[0]), sv.size, 0.0))
         basis = np.array(u[:, :rank])  # a copy, so the rest of U is freed
-        for a in (w, v, sv, basis):
-            a.setflags(write=False)
-        return cls(w, v, sv, basis)
+        sv.setflags(write=False)
+        basis.setflags(write=False)
+        return cls(*_frozen_eigh(frame_operator(ksys.system)), sv, basis)
+
+    def _with_rows(self, matrix: np.ndarray) -> "KGSpectrum":
+        """The spectrum of the system whose stacked rows are ``matrix``, with this K.
+
+        One ``eigh`` of the Gram of ``matrix``; the factorization of K is
+        shared, not copied or recomputed.
+        """
+        return KGSpectrum(*_frozen_eigh(_gram(matrix)), self.k_svals, self.k_range_basis)
 
     def s_support(self, tol: float) -> np.ndarray:
         """Mask of the eigenvalues of S above ``tol`` times the largest: range(S)."""
@@ -302,8 +309,21 @@ def analysis(sys: GSystem, f) -> BlockSequence:
 
 def frame_operator(sys: GSystem) -> np.ndarray:
     """The Hermitian PSD matrix S = sum_j L_j^* L_j (synthesis after analysis)."""
-    s = sys.matrix.conj().T @ sys.matrix
+    return _gram(sys.matrix)
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """M^* M, symmetrized: the frame operator of the stacked rows ``m``."""
+    s = m.conj().T @ m
     return (s + s.conj().T) / 2.0
+
+
+def _frozen_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues (ascending) and eigenvectors of the Hermitian ``s``."""
+    w, v = np.linalg.eigh(s)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
 
 
 def _range_holds(outside: np.ndarray, k_norm: float, range_rtol: float) -> bool:
@@ -358,7 +378,13 @@ def optimal_bounds(
         Everything comes from the cached :attr:`KGSystem.spectrum`; the
         one dense computation per call is the norm of S^{+/2} K.
     """
-    spec = ksys.spectrum
+    return _spectral_bounds(ksys.spectrum, rank_tol, range_rtol, tight_rtol)
+
+
+def _spectral_bounds(
+    spec: KGSpectrum, rank_tol: float, range_rtol: float, tight_rtol: float
+) -> BoundReport:
+    """The optimal frame constants read off a spectrum (see :func:`optimal_bounds`)."""
     w = spec.s_evals
     bessel = max(float(w[-1]), 0.0)
     g_lower = max(float(w[0]), 0.0)
@@ -399,7 +425,7 @@ def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationRep
     report = optimal_bounds(ksys, rank_tol=tol)
     c = ksys.spectrum.k_lower(tol)
 
-    is_g = report.g_lower_opt > tol * max(report.bessel_upper_opt, 1e-300)
+    is_g = report.g_lower_opt > tol * report.bessel_upper_opt
     is_kg = report.kg_lower_opt is not None
     tight_g = is_g and (report.bessel_upper_opt - report.g_lower_opt) <= TIGHT_RTOL * report.bessel_upper_opt
 

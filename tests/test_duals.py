@@ -12,6 +12,7 @@ from kgframes import (
     NotInRangeError,
     RangeConditionError,
     SubspaceFrameFamily,
+    TrivialRangeError,
     approx_defect,
     canonical_kg_dual,
     corner_projection_system,
@@ -116,6 +117,14 @@ def test_perturbed_dual_validates_defect():
         perturbed_dual(ksys, 1.0, seed=0)
     with pytest.raises(ValueError):
         perturbed_dual(ksys, -0.1, seed=0)
+
+
+def test_perturbed_dual_rejects_a_positive_defect_when_range_k_is_trivial():
+    ksys = KGSystem(GSystem(3, (np.eye(3),)), np.zeros((3, 3)))
+    with pytest.raises(TrivialRangeError, match="trivial"):
+        perturbed_dual(ksys, 0.5, seed=0)
+    exact = perturbed_dual(ksys, 0.0, seed=0)
+    assert np.array_equal(exact.matrix, canonical_kg_dual(ksys).matrix)
 
 
 def test_exactify_rejects_non_contractive_candidates():

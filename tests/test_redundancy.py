@@ -9,6 +9,7 @@ from kgframes import (
     GSystem,
     KGSystem,
     KStarNotBoundedBelowError,
+    NotKGFrameError,
     NotUnitNormError,
     TooManySubsetsError,
     Classification,
@@ -27,6 +28,7 @@ from kgframes import (
     random_kg_system,
     reduced_system,
 )
+from kgframes.redundancy import _survival_floor
 
 from oracles import (
     complex_gaussian,
@@ -260,3 +262,87 @@ def test_perturbed_dual_uses_the_rank_tolerance():
     ksys = KGSystem(GSystem(4, (complex_gaussian(rng, (5, 4)),)), k)
     pert = perturbed_dual(ksys, 0.3, seed=1, rank_tol=1e-3)
     assert abs(approx_defect(ksys.system, pert, k, rank_tol=1e-3).defect - 0.3) <= 1e-9
+
+
+def _erasure_cases() -> dict[str, tuple[KGSystem, int]]:
+    """Systems for the reference comparison, each with its ``max_remove``."""
+    rng = np.random.default_rng(31)
+    n = 5
+    blocks = tuple(complex_gaussian(rng, (d, n)) for d in (2, 3, 1, 2))
+    low_rank_k = complex_gaussian(rng, (n, 2)) @ complex_gaussian(rng, (2, n))
+    with_empty_block = (blocks[0], np.zeros((0, n)), *blocks[1:])
+    return {
+        # the erasure_sweep benchmark size: 13 blocks of d = 2 in n = 24, rank K = 8
+        "sweep_seed0": (random_kg_system(24, [2] * 13, 8, seed=0), 2),
+        "sweep_seed1": (random_kg_system(24, [2] * 13, 8, seed=1), 2),
+        "chain": (overlap_chain_system(6), 5),
+        "corner": (corner_projection_system(6), 2),
+        "zero_k": (KGSystem(GSystem(n, blocks), np.zeros((n, n))), 4),
+        "rank_deficient_k": (KGSystem(GSystem(n, blocks), low_rank_k), 4),
+        "empty_block": (KGSystem(GSystem(n, with_empty_block), complex_gaussian(rng, (n, n))), 5),
+        "unitary": (_unitary_block_system(4, 3, 0.9, seed=4), 3),
+    }
+
+
+ERASURE_CASES = _erasure_cases()
+# Preconditions of the two sufficient criteria; the comparison needs only the
+# reduced bound a criterion reports when it runs.
+PRECONDITIONS = (FrameOperatorSingularError, KStarNotBoundedBelowError, NotKGFrameError, NotUnitNormError)
+
+
+def _assert_same_bound(got, want, where):
+    assert (got is None) == (want is None), where
+    if want is not None:
+        assert abs(got - want) <= 1e-12 * abs(want), (where, got, want)
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-6, 1e6))
+@pytest.mark.parametrize("name", sorted(ERASURE_CASES))
+def test_erasure_bounds_match_the_reduced_system_reference(name, scale):
+    base, max_remove = ERASURE_CASES[name]
+    ksys = KGSystem(base.system.with_matrix(scale * base.system.matrix), base.k)
+    floor = _survival_floor(ksys)
+    criteria = (erasure_brute_report, erasure_norm_count, erasure_invertibility)
+    ran = dict.fromkeys(criteria, 0)
+    reports = brute_force_erasure_search(ksys, max_remove)
+    for rep in reports:
+        want = optimal_bounds(reduced_system(ksys, rep.removed)).kg_lower_opt
+        assert rep.survives == (want is not None and want > floor), rep.removed
+        _assert_same_bound(rep.actual_lower_bound, want, rep.removed)
+        for criterion in criteria:
+            try:
+                got = criterion(ksys, rep.removed)
+            except PRECONDITIONS:
+                continue
+            ran[criterion] += 1
+            _assert_same_bound(got.actual_lower_bound, want, (criterion.__name__, rep.removed))
+            if criterion is erasure_brute_report:
+                assert got.survives == rep.survives, rep.removed
+    assert ran[erasure_brute_report] == len(reports)
+    if name == "unitary" and scale == 1.0:
+        assert set(ran.values()) == {len(reports)}
+
+
+def test_search_on_a_cached_spectrum_factors_no_k_and_one_s_per_subset(monkeypatch):
+    ksys = random_kg_system(24, [2] * 13, 8, seed=0)
+    assert ksys.spectrum is not None  # factored before counting starts
+    counts = {"eigh": 0, "eigvalsh": 0, "svd_with_vectors": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            counts["svd_with_vectors"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    reports = brute_force_erasure_search(ksys, 2)
+    assert counts == {"eigh": len(reports), "eigvalsh": 0, "svd_with_vectors": 0}
