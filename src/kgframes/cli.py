@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -229,8 +230,23 @@ _LOADERS = {
 }
 
 
+def _check_arguments(args: argparse.Namespace) -> None:
+    """Reject tolerances and step counts that no computation can use."""
+    if not (math.isfinite(args.tol_rank) and args.tol_rank > 0.0):
+        raise InputError(f"--tol-rank must be finite and positive, got {args.tol_rank}")
+    if not (math.isfinite(args.tol_dual) and args.tol_dual >= 0.0):
+        raise InputError(f"--tol-dual must be finite and non-negative, got {args.tol_dual}")
+    for dest in ("num_terms", "num_steps"):
+        if getattr(args, dest, 0) < 0:
+            raise InputError(f"--N must be non-negative, got {getattr(args, dest)}")
+
+
 def _run(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Dispatch one parsed command; returns (payload, input digests)."""
+    """Dispatch one parsed command; returns (payload, input digests).
+
+    The arguments are checked before any input file is read.
+    """
+    _check_arguments(args)
     handler, inputs = _COMMANDS[args.command]
     payload = handler(args, *(_LOADERS[key](getattr(args, key)) for key in inputs))
     return payload, {key: _digest_entry(getattr(args, key)) for key in inputs}

@@ -26,7 +26,7 @@ from .errors import (
     RangeConditionError,
     TrivialRangeError,
 )
-from .gsystem import GSystem, KGSystem, range_condition_holds
+from .gsystem import GSystem, KGSystem, _k_range, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
 
 # Relative projector residual below which a vector counts as in range(K).
@@ -132,15 +132,17 @@ def _certify(system: GSystem, candidate: GSystem, k, exact_tol: float, rank_tol:
     """The certificate of a candidate, the range basis B of K and C = B^* M B.
 
     Both defects are norms on range(K) only: ||(I - M) P|| = ||B - M B|| and
-    ||P (I - M^*) P|| = ||I_r - C||.
+    ||P (I - M^*) P|| = ||I_r - C||. B comes from the cached spectrum of the
+    system that owns ``k``, if any, and M B = L^* (T B) is formed as
+    conj(L^T conj(T B)), so neither M nor a conjugated copy of L exists.
     """
-    m = mixed_operator(system, candidate)
+    _check_same_shape(system, candidate)
     k_op = linops.as_operator(k)
     n = system.ambient_dim
     if k_op.shape != (n, n):
         raise DimMismatchError(f"K has shape {k_op.shape}, expected ({n}, {n})")
-    b = linops.range_basis(k_op, rank_tol)
-    mb = m @ b
+    b = _k_range(k_op, rank_tol)
+    mb = (system.matrix.T @ (candidate.matrix @ b).conj()).conj()
     c = b.conj().T @ mb
     defect = linops.op_norm(b - mb)
     interchange = linops.op_norm(np.eye(c.shape[0]) - c)
@@ -231,11 +233,15 @@ def neumann_reconstruct(
 
     Raises
     ------
+    ValueError
+        If ``num_steps`` is negative.
     NotInRangeError
         If the target is outside range(K) at relative tolerance 1e-8.
     NotApproxDualError
         If the measured defect is not below 1.
     """
+    if num_steps < 0:
+        raise ValueError("num_steps must be non-negative")
     cert, b, _ = _require_approx_dual(system, candidate, k, rank_tol)
     f = linops.as_vector(target)
     if f.shape[0] != system.ambient_dim:
@@ -347,7 +353,7 @@ def lift_to_vector_frames(
     vector_defect = linops.op_norm(eye - lifted_mixed)
     restricted: float | None = None
     if k is not None:
-        b = linops.range_basis(k, rank_tol)
+        b = _k_range(k, rank_tol)
         restricted = linops.op_norm(np.eye(b.shape[1]) - b.conj().T @ swapped @ b)  # ||P (I - M') P||
     return LiftResult(
         tuple(vectors_e), tuple(vectors_f), residual, operator_defect, vector_defect, restricted

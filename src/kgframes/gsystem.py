@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,7 @@ class KGSystem:
         if k.shape != (n, n):
             raise DimMismatchError(f"K has shape {k.shape}, expected ({n}, {n})")
         object.__setattr__(self, "k", _frozen(k))
+        _K_OWNERS[id(self.k)] = self
 
     @property
     def ambient_dim(self) -> int:
@@ -117,6 +119,28 @@ class KGSystem:
         Instances are immutable, so the cached factorization never goes stale.
         """
         return KGSpectrum.of(self)
+
+
+# Each live KGSystem under the id of the K it owns, so the duals that take a
+# raw ``k`` can find the cached factorization of a system's own K. Weak, so
+# it keeps no system alive; a bridge until those duals take the KGSystem.
+_K_OWNERS: "weakref.WeakValueDictionary[int, KGSystem]" = weakref.WeakValueDictionary()
+
+
+def _k_range(k, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis of range(K), read from the owner's spectrum when there is one.
+
+    When ``k`` is the array of a live :class:`KGSystem` whose spectrum has
+    already been computed, the basis is sliced from that cached SVD (the same
+    columns :func:`linops.range_basis` takes, for any ``rank_tol >= n * eps``).
+    Otherwise K is factored here, and no spectrum of S is computed.
+    """
+    owner = _K_OWNERS.get(id(k))
+    # ``is`` rules out an id reused by another array; the cached_property
+    # lives in the instance dict only once it has been computed
+    if owner is not None and owner.k is k and "spectrum" in owner.__dict__:
+        return owner.spectrum.k_range(rank_tol)
+    return linops.range_basis(k, rank_tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -269,6 +269,46 @@ def test_erase_honours_tol_rank(tmp_path, capsys):
     assert [r["survives"] for r in read_report(out)["payload"]["reports"]] == [False]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bounds", "SYS", "--tol-rank", "nan"), "--tol-rank"),
+        (("reconstruct", "SYS", "SYS", "--vec", "VEC", "--tol-rank", "inf"), "--tol-rank"),
+        (("classify", "SYS", "--tol-rank", "0"), "--tol-rank"),
+        (("classify", "SYS", "--tol-rank", "-1"), "--tol-rank"),
+        (("defect", "SYS", "SYS", "--tol-dual", "nan"), "--tol-dual"),
+        (("defect", "SYS", "SYS", "--tol-dual=-1e-9"), "--tol-dual"),
+        (("neumann-dual", "SYS", "SYS", "--N", "-1", "-o", "OUT"), "--N"),
+        (("reconstruct", "SYS", "SYS", "--vec", "VEC", "--N", "-3"), "--N"),
+    ],
+)
+def test_unusable_tolerances_and_step_counts_are_input_errors(tmp_path, capsys, argv, flag):
+    # the input files do not exist: the arguments are rejected before any read
+    paths = {"SYS": str(tmp_path / "sys.json"), "VEC": str(tmp_path / "v.json"),
+             "OUT": str(tmp_path / "out.json")}
+    code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].startswith(flag)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_zero_dual_tolerance_and_zero_steps_are_accepted(tmp_path, capsys):
+    ksys = random_instance(104)
+    sys_path, dual_path, vec_path = (tmp_path / name for name in ("sys.json", "dual.json", "v.json"))
+    save_system(ksys, sys_path)
+    save_system(KGSystem(canonical_kg_dual(ksys), ksys.k), dual_path)
+    save_vector(random_range_vector(np.random.default_rng(0), ksys.k), vec_path)
+    code, out, _ = run_cli(capsys, "defect", str(sys_path), str(dual_path), "--tol-dual", "0")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "reconstruct", str(sys_path), str(dual_path),
+                           "--vec", str(vec_path), "--N", "0")
+    assert code == 0
+    assert read_report(out)["payload"]["steps"] == 0
+
+
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bounds", str(tmp_path / "absent.json"))
     assert code == 2

@@ -231,6 +231,17 @@ def test_reconstruction_rejects_non_contractive_candidate():
         neumann_reconstruct(ksys.system, _zero_candidate(ksys.system), ksys.k, f)
 
 
+def test_reconstruction_rejects_negative_step_counts_before_certifying():
+    ksys = random_instance(79)
+    f = random_range_vector(np.random.default_rng(2), ksys.k)
+    # the zero candidate is no approximate dual, so a late check would raise
+    # NotApproxDualError instead
+    with pytest.raises(ValueError, match="num_steps"):
+        neumann_reconstruct(ksys.system, _zero_candidate(ksys.system), ksys.k, f, num_steps=-3)
+    trace = neumann_reconstruct(ksys.system, canonical_kg_dual(ksys), ksys.k, f, num_steps=0)
+    assert len(trace.errors) == 1
+
+
 def test_canonical_dual_bessel_bound_from_factorization():
     for seed in range(10):
         ksys = random_instance(seed + 200)

@@ -4,8 +4,11 @@ Bounds, verdicts and duals computed from ``KGSystem.spectrum`` are checked
 against the independent oracles on edge inputs, against metamorphic
 relations (block permutation, unitaries on the coefficient spaces,
 rescaling), and, for the duals that take a raw K, against the n x n
-projector formulas.
+projector formulas. The duals read K's range basis from the spectrum of the
+live system that owns the K they are given, and factor any other K per call.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -21,9 +24,12 @@ from kgframes import (
     canonical_kg_dual,
     classify,
     exactify_dual,
+    lift_to_vector_frames,
+    neumann_reconstruct,
     optimal_bounds,
     overlap_chain_system,
     perturbed_dual,
+    random_frame_family,
     random_kg_system,
     range_condition_holds,
     truncated_neumann_dual,
@@ -37,6 +43,7 @@ from oracles import (
     projector_exactify_factor_of,
     projector_neumann_factor_of,
     random_instance,
+    random_range_vector,
     range_inclusion_oracle,
 )
 
@@ -262,3 +269,82 @@ def test_generated_system_arrives_with_its_factorization(monkeypatch):
     assert classify(ksys).label is Classification.G_FRAME
     assert ksys.spectrum is spectrum
     assert counts["eigh"] == counts["svd"] == 0
+
+
+def _record_svds(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """The input shape and ``compute_uv`` of every ``np.linalg.svd`` call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def _dual_inputs(seed: int = 3):
+    """A system with rank(K) < n whose spectrum is computed, a candidate and a target."""
+    ksys = random_kg_system(16, [4] * 6, 7, seed=seed)
+    candidate = perturbed_dual(ksys, 0.4, seed=seed)  # computes the spectrum if not yet done
+    target = random_range_vector(np.random.default_rng(seed), np.array(ksys.k))
+    return ksys, candidate, target
+
+
+def test_duals_on_a_factored_system_take_no_svd_of_k(monkeypatch):
+    ksys, candidate, target = _dual_inputs()
+    fams = random_frame_family(ksys.system.block_dims, seed=1)
+    r = ksys.spectrum.k_rank(1e-10)
+    counts = _count_decompositions(monkeypatch)
+    svds = _record_svds(monkeypatch)
+    approx_defect(ksys.system, candidate, ksys.k)
+    truncated_neumann_dual(ksys.system, candidate, ksys.k, 4)
+    neumann_reconstruct(ksys.system, candidate, ksys.k, target, num_steps=10)
+    lift_to_vector_frames(ksys.system, candidate, fams, k=ksys.k)
+    assert svds == []
+    exactify_dual(ksys.system, candidate, ksys.k)
+    # the one SVD of exactification is the pinv of the r x r C = B^* M B
+    assert svds == [((r, r), True)]
+    assert counts["eigh"] == 0
+
+
+def test_defect_on_a_fresh_system_factors_only_k(monkeypatch):
+    ksys, candidate, _ = _dual_inputs()
+    fresh = KGSystem(ksys.system, ksys.k)  # owns a new K, nothing cached yet
+    counts = _count_decompositions(monkeypatch)
+    svds = _record_svds(monkeypatch)
+    cert = approx_defect(fresh.system, candidate, fresh.k)
+    assert counts["eigh"] == counts["eigvalsh"] == 0
+    assert svds == [((16, 16), True)]  # the per-call factorization of K
+    assert "spectrum" not in fresh.__dict__
+    assert cert == approx_defect(ksys.system, candidate, ksys.k)
+
+
+def test_a_copy_of_k_gives_the_same_results_to_the_bit():
+    ksys, candidate, target = _dual_inputs()
+    owned, copy = ksys.k, np.array(ksys.k)
+    assert copy.flags.writeable
+    system = ksys.system
+    for rank_tol in (1e-10, 1e-3, 0.0):  # 0 selects the machine-precision cutoff
+        assert (approx_defect(system, candidate, owned, rank_tol=rank_tol)
+                == approx_defect(system, candidate, copy, rank_tol=rank_tol))
+    assert np.array_equal(exactify_dual(system, candidate, owned).matrix,
+                          exactify_dual(system, candidate, copy).matrix)
+    assert np.array_equal(truncated_neumann_dual(system, candidate, owned, 3).matrix,
+                          truncated_neumann_dual(system, candidate, copy, 3).matrix)
+    a = neumann_reconstruct(system, candidate, owned, target, num_steps=8)
+    b = neumann_reconstruct(system, candidate, copy, target, num_steps=8)
+    assert a.errors == b.errors
+    assert all(np.array_equal(x, y) for x, y in zip(a.iterates, b.iterates))
+
+
+def test_k_of_a_collected_system_is_factored_per_call(monkeypatch):
+    ksys, candidate, _ = _dual_inputs()
+    system, k = ksys.system, ksys.k
+    before = approx_defect(system, candidate, k)
+    del ksys
+    gc.collect()
+    svds = _record_svds(monkeypatch)
+    assert approx_defect(system, candidate, k) == before
+    assert svds == [((16, 16), True)]
