@@ -16,13 +16,7 @@ from .errors import (
     NotTightError,
     ZeroWeightError,
 )
-from .gsystem import (
-    GSystem,
-    KGSystem,
-    TIGHT_RTOL,
-    optimal_bounds,
-    range_condition_holds,
-)
+from .gsystem import GSystem, KGSystem, classify, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
 
 _MAX_GENERATION_ATTEMPTS = 10
@@ -174,9 +168,9 @@ class SubspaceFrameFamily:
             if fam.shape[1] < 1:
                 raise NotAFrameError(f"family {j} lives in a zero-dimensional space")
             evals = linops.hermitian_eigvals(cls.frame_operator_of(fam))
-            top = max(float(evals[-1]), 0.0) if evals.size else 0.0
-            bottom = float(evals[0]) if evals.size else 0.0
-            if bottom <= tol * top:
+            top = max(float(evals[-1]), 0.0)
+            bottom = float(evals[0])
+            if bottom <= linops.rank_cutoff(top, evals.size, tol):
                 raise NotAFrameError(f"family {j} does not span its space")
             fams.append(fam)
             lowers.append(bottom)
@@ -242,21 +236,18 @@ class TightRelationReport:
 
 def tight_relation_check(ksys: KGSystem, tol: float = 1e-9) -> TightRelationReport:
     """Evaluate, for a tight K-g-frame, the equivalence with tight g-frames."""
-    report = optimal_bounds(ksys)
+    classes = classify(ksys)
+    report = classes.bounds
     if not report.tight_kg or report.tightness_constant is None:
         raise NotTightError("system is not tight relative to K")
     a1 = report.tightness_constant
-
-    spec = ksys.spectrum
-    top = max(float(spec.s_evals[-1]), 0.0)
-    bottom = max(float(spec.s_evals[0]), 0.0)
-    is_tight_g = bool(top > 0.0 and (top - bottom) <= TIGHT_RTOL * top)
-    a2 = top if is_tight_g else None
+    is_tight_g = classes.is_tight_g_frame
+    a2 = report.bessel_upper_opt if is_tight_g else None
 
     # K K^* = U diag(sigma^2) U^* with U unitary, so its distance from a
     # scalar c I is max |sigma^2 - c|; every test is relative to ||K K^*||
     n = ksys.ambient_dim
-    kk_evals = spec.k_svals**2
+    kk_evals = ksys.spectrum.k_svals**2
     kk_norm = float(kk_evals[0])
     c = float(kk_evals.sum()) / n
     kk_is_scalar = bool(np.abs(kk_evals - c).max() <= tol * kk_norm)

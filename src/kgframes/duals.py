@@ -169,7 +169,7 @@ def approx_defect(
 
 def is_kg_dual(system: GSystem, candidate: GSystem, k, tol: float = DUAL_EXACT_TOL) -> bool:
     """True when the measured defect does not exceed ``tol``."""
-    return approx_defect(system, candidate, k, exact_tol=tol).defect <= tol
+    return approx_defect(system, candidate, k, exact_tol=tol).is_exact_dual
 
 
 def exactify_dual(
@@ -336,7 +336,7 @@ def lift_to_vector_frames(
             )
         fam_op = SubspaceFrameFamily.frame_operator_of(fam)
         evals = linops.hermitian_eigvals(fam_op)
-        if not evals.size or float(evals[0]) <= rank_tol * float(evals[-1]):
+        if not evals.size or evals[0] <= linops.rank_cutoff(evals[-1], d, rank_tol):
             raise NotAFrameError(f"family {j} does not span its space")
         duals = np.linalg.solve(fam_op, fam.T).T
         for vec, dual_vec in zip(fam, duals):

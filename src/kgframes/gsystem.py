@@ -132,8 +132,8 @@ def _k_range(k, rank_tol: float) -> np.ndarray:
 
     When ``k`` is the array of a live :class:`KGSystem` whose spectrum has
     already been computed, the basis is sliced from that cached SVD (the same
-    columns :func:`linops.range_basis` takes, for any ``rank_tol >= n * eps``).
-    Otherwise K is factored here, and no spectrum of S is computed.
+    columns :func:`linops.range_basis` takes). Otherwise K is factored here,
+    and no spectrum of S is computed.
     """
     owner = _K_OWNERS.get(id(k))
     # ``is`` rules out an id reused by another array; the cached_property
@@ -179,7 +179,7 @@ class KGSpectrum:
         return KGSpectrum(*_frozen_eigh(_gram(matrix)), self.k_svals, self.k_range_basis)
 
     def s_support(self, tol: float) -> np.ndarray:
-        """Mask of the eigenvalues of S above ``tol`` times the largest: range(S)."""
+        """Mask of the eigenvalues of S above the rank cutoff at ``tol``: range(S)."""
         top = max(float(self.s_evals[-1]), 0.0)
         return self.s_evals > linops.rank_cutoff(top, self.s_evals.size, tol)
 
@@ -194,10 +194,7 @@ class KGSpectrum:
         return int(np.count_nonzero(self.k_svals > cutoff))
 
     def k_range(self, tol: float) -> np.ndarray:
-        """Orthonormal basis of range(K) at the cutoff, one vector per column.
-
-        A cutoff below machine precision gives the machine-precision basis.
-        """
+        """Orthonormal basis of range(K) at the cutoff, one vector per column."""
         return self.k_range_basis[:, : self.k_rank(tol)]
 
     def k_lower(self, tol: float) -> float:
@@ -350,8 +347,8 @@ def _frozen_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _range_holds(outside: np.ndarray, k_norm: float, range_rtol: float) -> bool:
-    """Whether ||(I - P_S) K|| <= range_rtol ||K||.
+def _range_holds(outside: np.ndarray, k_norm: float) -> bool:
+    """Whether ||(I - P_S) K|| <= RANGE_INCLUSION_RTOL ||K||.
 
     ``outside`` holds the rows of K (in the eigenbasis of S) along the kernel
     of S. Their Frobenius norm bounds the operator norm from above, so the
@@ -359,26 +356,17 @@ def _range_holds(outside: np.ndarray, k_norm: float, range_rtol: float) -> bool:
     """
     if k_norm == 0.0:
         return True
-    limit = range_rtol * k_norm
+    limit = RANGE_INCLUSION_RTOL * k_norm
     return float(np.linalg.norm(outside)) <= limit or linops.op_norm(outside) <= limit
 
 
-def range_condition_holds(
-    ksys: KGSystem,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    range_rtol: float = RANGE_INCLUSION_RTOL,
-) -> bool:
+def range_condition_holds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether range(K) is contained in range(S) at the working tolerance."""
     spec = ksys.spectrum
-    return _range_holds(spec.k_rows(~spec.s_support(rank_tol)), spec.k_norm, range_rtol)
+    return _range_holds(spec.k_rows(~spec.s_support(rank_tol)), spec.k_norm)
 
 
-def optimal_bounds(
-    ksys: KGSystem,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    range_rtol: float = RANGE_INCLUSION_RTOL,
-    tight_rtol: float = TIGHT_RTOL,
-) -> BoundReport:
+def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
     """Compute the optimal frame constants of a K-g-system.
 
     Parameters
@@ -386,11 +374,9 @@ def optimal_bounds(
     ksys : KGSystem
         System under analysis.
     rank_tol : float
-        Relative singular-value cutoff for every rank decision.
-    range_rtol : float
-        Relative residual for the range(K) in range(S) test.
-    tight_rtol : float
-        Relative Frobenius tolerance for the tightness test.
+        Relative singular-value cutoff for every rank decision. The range(K)
+        in range(S) test uses ``RANGE_INCLUSION_RTOL`` and the tightness
+        test ``TIGHT_RTOL``.
 
     Returns
     -------
@@ -402,12 +388,10 @@ def optimal_bounds(
         Everything comes from the cached :attr:`KGSystem.spectrum`; the
         one dense computation per call is the norm of S^{+/2} K.
     """
-    return _spectral_bounds(ksys.spectrum, rank_tol, range_rtol, tight_rtol)
+    return _spectral_bounds(ksys.spectrum, rank_tol)
 
 
-def _spectral_bounds(
-    spec: KGSpectrum, rank_tol: float, range_rtol: float, tight_rtol: float
-) -> BoundReport:
+def _spectral_bounds(spec: KGSpectrum, rank_tol: float) -> BoundReport:
     """The optimal frame constants read off a spectrum (see :func:`optimal_bounds`)."""
     w = spec.s_evals
     bessel = max(float(w[-1]), 0.0)
@@ -417,7 +401,7 @@ def _spectral_bounds(
     y = spec.k_rows()
     support = spec.s_support(rank_tol)
     kg_lower: float | None = None
-    if spec.k_norm > 0.0 and _range_holds(y[~support], spec.k_norm, range_rtol):
+    if spec.k_norm > 0.0 and _range_holds(y[~support], spec.k_norm):
         denom = linops.op_norm(y[support] / np.sqrt(w[support])[:, np.newaxis])
         if denom > 0.0:
             kg_lower = 1.0 / (denom * denom)
@@ -430,7 +414,7 @@ def _spectral_bounds(
         diff = -kg_lower * (y @ y.conj().T)
         diff[np.diag_indices_from(diff)] += w
         scale = max(float(np.linalg.norm(w)), kg_lower * float(np.linalg.norm(spec.k_svals**2)))
-        if scale > 0.0 and float(np.linalg.norm(diff)) <= tight_rtol * scale:
+        if scale > 0.0 and float(np.linalg.norm(diff)) <= TIGHT_RTOL * scale:
             tight = True
             constant = kg_lower
     return BoundReport(bessel, g_lower, kg_lower, tight, constant)
@@ -441,15 +425,18 @@ def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationRep
 
     The label reports the strongest property that holds: a g-frame wins over
     a plain K-g-frame, and within each strength the tight variant wins.
-    ``tol`` scales the positivity threshold for the lower bound (relative to
-    the upper bound, so the decision is scale invariant).
+    ``tol`` is the rank tolerance of every decision (see
+    :func:`linops.rank_cutoff`): the system is a g-frame when S has full
+    rank at it, the same cut that decides range(S) for the bound relative to
+    K, so the label is scale invariant and never rests on rounding noise.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     report = optimal_bounds(ksys, rank_tol=tol)
-    c = ksys.spectrum.k_lower(tol)
+    spec = ksys.spectrum
+    c = spec.k_lower(tol)
 
-    is_g = report.g_lower_opt > tol * report.bessel_upper_opt
+    is_g = spec.s_support(tol).all()
     is_kg = report.kg_lower_opt is not None
     tight_g = is_g and (report.bessel_upper_opt - report.g_lower_opt) <= TIGHT_RTOL * report.bessel_upper_opt
 

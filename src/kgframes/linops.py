@@ -1,13 +1,16 @@
 """Dense complex operator algebra: adjoints, pseudo-inverses, norms, projectors.
 
 Every function accepts array-likes and works on ``complex128`` matrices.
-Rank decisions use a relative cutoff ``tol * sigma_max`` against the largest
-singular value; :data:`DEFAULT_RANK_TOL` is the package-wide default and
-``tol = 0`` requests the machine-precision default instead. Inner products
-are linear in the first argument.
+Every decision that a singular value or eigenvalue is zero, in this module
+and the rest of the package, is made by :func:`rank_cutoff`, with
+:data:`DEFAULT_RANK_TOL` as the package-wide default tolerance. Inner
+products are linear in the first argument.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -71,14 +74,16 @@ def hermitian_eigvals(m) -> np.ndarray:
 
 
 def rank_cutoff(top: float, dim: int, tol: float) -> float:
-    """The cutoff ``tol * top`` below which a singular value or eigenvalue is zero.
+    """The cutoff below which a singular value or eigenvalue counts as zero.
 
-    ``top`` is the largest one and ``dim`` the larger matrix dimension;
-    ``tol = 0`` selects the machine-precision default ``dim * eps``.
+    ``top`` is the largest one and ``dim`` the larger matrix dimension. The
+    cutoff is ``max(tol, dim * eps) * top``: a tolerance below machine
+    precision, 0 included, means machine precision. Raises ``ValueError``
+    unless ``0 <= tol < inf``.
     """
-    if tol == 0.0:
-        tol = dim * np.finfo(np.float64).eps
-    return tol * top
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"rank tolerance must be finite and non-negative, got {tol}")
+    return max(tol, dim * sys.float_info.epsilon) * top
 
 
 def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
@@ -100,8 +105,8 @@ def pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     m : array_like
         Matrix to invert, any shape.
     tol : float
-        Singular values below ``tol * sigma_max`` are treated as zero;
-        ``tol = 0`` selects the machine-precision default.
+        Singular values at or below :func:`rank_cutoff` of ``sigma_max`` are
+        treated as zero.
 
     Returns
     -------
@@ -171,8 +176,7 @@ def psd_sqrt_pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if a.size == 0:
         return a.copy()
     scale = float(np.abs(a).max())
-    if tol == 0.0:
-        tol = a.shape[0] * np.finfo(np.float64).eps
+    tol = rank_cutoff(1.0, a.shape[0], tol)
     if float(np.abs(a - a.conj().T).max()) > tol * scale:
         raise NotPSDError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)

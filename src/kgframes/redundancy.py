@@ -27,20 +27,9 @@ from .errors import (
     NotUnitNormError,
     TooManySubsetsError,
 )
-from .gsystem import (
-    RANGE_INCLUSION_RTOL,
-    TIGHT_RTOL,
-    BoundReport,
-    GSystem,
-    KGSystem,
-    _gram,
-    _spectral_bounds,
-    optimal_bounds,
-)
+from .gsystem import BoundReport, GSystem, KGSystem, _gram, _spectral_bounds, optimal_bounds
 from .linops import DEFAULT_RANK_TOL
 
-# Singular-value ratio below which T = I - S^{-1} S_I counts as singular.
-INVERTIBILITY_TOL = 1e-10
 # Removed blocks must have operator norm 1 within this tolerance.
 UNIT_NORM_TOL = 1e-9
 # A reduced system survives brute force when its lower bound A relative to K
@@ -110,7 +99,7 @@ def _reduced_bounds(ksys: KGSystem, idx: tuple[int, ...], rank_tol: float) -> Bo
     """``optimal_bounds(reduced_system(ksys, idx))`` without building the reduced system."""
     kept = ksys.system.matrix[~_block_rows(ksys.system, idx)]
     spec = ksys.spectrum._with_rows(kept)
-    return _spectral_bounds(spec, rank_tol, RANGE_INCLUSION_RTOL, TIGHT_RTOL)
+    return _spectral_bounds(spec, rank_tol)
 
 
 def _survival_floor(ksys: KGSystem) -> float:
@@ -169,12 +158,12 @@ def erasure_invertibility(
 ) -> ErasureReport:
     """Survival via invertibility of T = I - S^{-1} S_I.
 
-    Requires the full frame operator S to be invertible. When T is
-    invertible the reduced family keeps a positive lower bound relative to
-    K; the guaranteed value follows the derivation that keeps K^* inside
-    the norm, ``A / ||K^* T^{-1}||^2``, with A the largest constant serving
-    simultaneously as a lower g-frame bound and a lower K-g bound of the
-    full system. The statement-style companion ``A / ||T^{-1}||^2`` is
+    Requires the full frame operator S to be invertible. When T has full
+    rank at ``rank_tol`` the reduced family keeps a positive lower bound
+    relative to K; the guaranteed value follows the derivation that keeps
+    K^* inside the norm, ``A / ||K^* T^{-1}||^2``, with A the largest
+    constant serving simultaneously as a lower g-frame bound and a lower
+    K-g bound of the full system. The statement-style companion ``A / ||T^{-1}||^2`` is
     stored alongside but is not a guaranteed bound.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
@@ -191,9 +180,7 @@ def erasure_invertibility(
     # S^{-1} S_I through the eigenpairs S = V diag(w) V^*
     v = spec.s_evecs
     t = np.eye(n, dtype=np.complex128) - (v / spec.s_evals) @ (v.conj().T @ s_removed)
-    tvals = linops.svd_values(t)
-    survives = bool(tvals.size and float(tvals[0]) > 0.0
-                    and float(tvals[-1]) > INVERTIBILITY_TOL * float(tvals[0]))
+    survives = linops.numerical_rank(t, rank_tol) == n
 
     predicted = None
     stated = None

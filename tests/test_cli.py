@@ -267,6 +267,16 @@ def test_erase_honours_tol_rank(tmp_path, capsys):
     search = ("erase", str(path), "--max-remove", "0", "--criterion", "brute")
     code, out, _ = run_cli(capsys, *search, "--tol-rank", "1e-3")
     assert [r["survives"] for r in read_report(out)["payload"]["reports"]] == [False]
+    # S = diag(1, 1 + 1e-4) is invertible at 1e-3, but removing block 1 gives
+    # T = diag(1, ~1e-4): the invertibility criterion cuts T's rank at the
+    # same tolerance, so it agrees with brute force on either side of 1e-4
+    blocks = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[0.0, 1e-2]]))
+    save_system(KGSystem(GSystem(2, blocks), np.eye(2)), path)
+    erase = ("erase", str(path), "--indices", "1", "--criterion")
+    for tol, survives in (("1e-10", True), ("1e-3", False)):
+        for criterion in ("brute", "invert"):
+            code, out, _ = run_cli(capsys, *erase, criterion, "--tol-rank", tol)
+            assert code == 0 and read_report(out)["payload"]["survives"] is survives
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from kgframes import (
     GSystem,
     KGSystem,
     analysis,
+    approx_defect,
+    brute_force_erasure_search,
     classify,
     corner_projection_system,
     frame_operator,
@@ -197,10 +199,13 @@ def test_classify_example_systems_are_kg_not_g():
 
 
 def test_classify_overlap_chain_is_tight_relative_to_k():
-    # the chain's frame operator is exactly twice K K^*
-    rep = classify(overlap_chain_system(12))
-    assert rep.is_tight_kg_frame
-    assert rep.label is Classification.TIGHT_KG_FRAME
+    # the chain's frame operator is exactly twice K K^*; its kernel eigenvalue
+    # is rounding noise (~1e-16), which no tolerance may count as positive
+    for n in (8, 12):
+        for tol in (1e-10, 1e-18, 1e-300):
+            rep = classify(overlap_chain_system(n), tol=tol)
+            assert rep.is_tight_kg_frame
+            assert rep.label is Classification.TIGHT_KG_FRAME
 
 
 def test_classify_generic_full_rank_system_is_g_frame():
@@ -223,5 +228,17 @@ def test_classify_g_bessel_only_when_range_condition_fails():
 
 
 def test_classify_requires_positive_tolerance():
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            classify(_identity_system(3), tol=tol)
+
+
+@pytest.mark.parametrize("rank_tol", [float("nan"), -1.0])
+def test_unusable_rank_tolerances_raise(rank_tol):
+    ksys = overlap_chain_system(8)
     with pytest.raises(ValueError):
-        classify(_identity_system(3), tol=0.0)
+        optimal_bounds(ksys, rank_tol=rank_tol)
+    with pytest.raises(ValueError):
+        approx_defect(ksys.system, ksys.system, ksys.k, rank_tol=rank_tol)
+    with pytest.raises(ValueError):
+        brute_force_erasure_search(ksys, 1, rank_tol)

@@ -326,7 +326,8 @@ def test_a_copy_of_k_gives_the_same_results_to_the_bit():
     owned, copy = ksys.k, np.array(ksys.k)
     assert copy.flags.writeable
     system = ksys.system
-    for rank_tol in (1e-10, 1e-3, 0.0):  # 0 selects the machine-precision cutoff
+    # a tolerance below machine precision, 0 included, selects machine precision
+    for rank_tol in (1e-10, 1e-3, 0.0, 1e-17, 1e-300):
         assert (approx_defect(system, candidate, owned, rank_tol=rank_tol)
                 == approx_defect(system, candidate, copy, rank_tol=rank_tol))
     assert np.array_equal(exactify_dual(system, candidate, owned).matrix,
