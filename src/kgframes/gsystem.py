@@ -397,14 +397,8 @@ def _spectral_bounds(spec: KGSpectrum, rank_tol: float) -> BoundReport:
     bessel = max(float(w[-1]), 0.0)
     g_lower = max(float(w[0]), 0.0)
 
-    # K in the eigenbasis of S: S^{+/2} K is its support rows over sqrt(w)
     y = spec.k_rows()
-    support = spec.s_support(rank_tol)
-    kg_lower: float | None = None
-    if spec.k_norm > 0.0 and _range_holds(y[~support], spec.k_norm):
-        denom = linops.op_norm(y[support] / np.sqrt(w[support])[:, np.newaxis])
-        if denom > 0.0:
-            kg_lower = 1.0 / (denom * denom)
+    kg_lower = _kg_lower(spec, y, rank_tol)
 
     tight = False
     constant: float | None = None
@@ -418,6 +412,21 @@ def _spectral_bounds(spec: KGSpectrum, rank_tol: float) -> BoundReport:
             tight = True
             constant = kg_lower
     return BoundReport(bessel, g_lower, kg_lower, tight, constant)
+
+
+def _kg_lower(spec: KGSpectrum, y: np.ndarray, rank_tol: float) -> float | None:
+    """The optimal lower bound relative to K, None when range(K) is not in range(S).
+
+    ``y`` is ``spec.k_rows()``, K in the eigenbasis of S, so S^{+/2} K is its
+    support rows over sqrt(w).
+    """
+    w = spec.s_evals
+    support = spec.s_support(rank_tol)
+    if spec.k_norm > 0.0 and _range_holds(y[~support], spec.k_norm):
+        denom = linops.op_norm(y[support] / np.sqrt(w[support])[:, np.newaxis])
+        if denom > 0.0:
+            return 1.0 / (denom * denom)
+    return None
 
 
 def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationReport:

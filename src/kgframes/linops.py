@@ -81,9 +81,18 @@ def rank_cutoff(top: float, dim: int, tol: float) -> float:
     precision, 0 included, means machine precision. Raises ``ValueError``
     unless ``0 <= tol < inf``.
     """
+    return max(_checked_tol(tol), dim * sys.float_info.epsilon) * top
+
+
+def _checked_tol(tol: float) -> float:
+    """``tol`` itself; raises ``ValueError`` unless ``0 <= tol < inf``.
+
+    Called first by the functions that return early on a zero or empty
+    matrix, so a bad tolerance raises there too.
+    """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"rank tolerance must be finite and non-negative, got {tol}")
-    return max(tol, dim * sys.float_info.epsilon) * top
+    return tol
 
 
 def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
@@ -92,6 +101,7 @@ def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above the relative cutoff."""
+    _checked_tol(tol)
     a = as_operator(m)
     s = svd_values(a)
     return int(np.count_nonzero(s > _sv_cutoff(s, a.shape, tol)))
@@ -113,6 +123,7 @@ def pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     numpy.ndarray
         The pseudo-inverse, with shape transposed relative to ``m``.
     """
+    _checked_tol(tol)
     a = as_operator(m)
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
@@ -129,6 +140,7 @@ def range_basis(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     numerical rank of ``m`` at the given relative cutoff (zero for a zero or
     empty matrix).
     """
+    _checked_tol(tol)
     a = as_operator(m)
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=np.complex128)

@@ -5,9 +5,11 @@ norm-counting criterion needs unit-norm blocks on the removed set and an
 invertible K; the invertibility criterion needs an invertible frame
 operator and decides survival through T = I - S^{-1} S_I. The brute-force
 path computes optimal bounds of the reduced system and is the ground truth
-the criteria are judged against. Every reduced bound comes from one
-eigendecomposition of the kept rows' frame operator, paired with the full
-system's cached factorization of K, which every subset shares.
+the criteria are judged against. A removal that the full system's cached
+factorization proves fatal (range(K) cannot lie in the range of the reduced
+frame operator) is reported with no n x n work; every other reduced bound
+comes from one eigendecomposition of the kept rows' frame operator, paired
+with the full system's cached factorization of K, which every subset shares.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     NotUnitNormError,
     TooManySubsetsError,
 )
-from .gsystem import BoundReport, GSystem, KGSystem, _gram, _spectral_bounds, optimal_bounds
+from .gsystem import RANGE_INCLUSION_RTOL, GSystem, KGSystem, _gram, _kg_lower, optimal_bounds
 from .linops import DEFAULT_RANK_TOL
 
 # Removed blocks must have operator norm 1 within this tolerance.
@@ -95,11 +97,83 @@ def reduced_system(ksys: KGSystem, indices) -> KGSystem:
     return KGSystem(GSystem(ksys.ambient_dim, blocks), ksys.k)
 
 
-def _reduced_bounds(ksys: KGSystem, idx: tuple[int, ...], rank_tol: float) -> BoundReport:
-    """``optimal_bounds(reduced_system(ksys, idx))`` without building the reduced system."""
-    kept = ksys.system.matrix[~_block_rows(ksys.system, idx)]
-    spec = ksys.spectrum._with_rows(kept)
-    return _spectral_bounds(spec, rank_tol)
+def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float | None]:
+    """``optimal_bounds(reduced_system(ksys, idx)).kg_lower_opt`` for each index set.
+
+    No reduced system is built. A removal that :func:`_fatal_removals` proves
+    fatal is None; every other takes one ``eigh`` of its kept rows' frame
+    operator, and K's factorization comes from the full system's spectrum.
+    """
+    spec = ksys.spectrum
+    removed = [_block_rows(ksys.system, idx) for idx in subsets]
+    fatal = _fatal_removals(ksys, removed, rank_tol)
+    lowers: list[float | None] = []
+    for rows, dead in zip(removed, fatal):
+        if dead:
+            lowers.append(None)
+            continue
+        red = spec._with_rows(ksys.system.matrix[~rows])
+        lowers.append(_kg_lower(red, red.k_rows(), rank_tol))
+    return lowers
+
+
+def _fatal_removals(ksys: KGSystem, removed: list[np.ndarray], rank_tol: float) -> np.ndarray:
+    """Mask of the removals whose reduced system provably has no bound relative to K.
+
+    ``removed`` holds one mask of removed stacked rows per removal. Only
+    removals that leave fewer rows than the ambient dimension n are tried,
+    since only they are sure to leave a kernel, and only when S is
+    invertible at ``rank_tol`` and K != 0; every other entry is False.
+
+    With F = S^{-1} L^* and G = L F, an eigenvector v of G_I with eigenvalue 1
+    gives a kernel vector f = F_I v of S_red = S - L_I^* L_I. The top
+    eigenvector of G_I (one batched ``eigh`` per removed-row count q) is
+    taken as the witness, and rho = ||L_kept f||^2 / ||f||^2 and
+    kappa = ||K^* f|| / ||f|| are measured directly. Write T = ||L_kept||_F^2.
+    Since lambda_max(S_red) >= T / n, the ``eigh`` path's rank cut is at
+    least c = rank_cutoff(1, n, rank_tol) T / n, so the part of f on the
+    eigenvectors it keeps has norm at most sqrt((rho + delta) / c), with
+    delta = n eps T the slack for rounding. Hence ||(I - P_red) K|| >=
+    kappa - ||K|| sqrt((rho + delta) / c); when that exceeds twice
+    ``RANGE_INCLUSION_RTOL ||K||`` the ``eigh`` path must find range(K)
+    outside range(S_red). Anything short of that is left to the ``eigh`` path.
+    """
+    spec = ksys.spectrum
+    l = ksys.system.matrix
+    num_rows, n = l.shape
+    fatal = np.zeros(len(removed), dtype=bool)
+    groups: dict[int, list[int]] = {}
+    for i, rows in enumerate(removed):
+        q = int(np.count_nonzero(rows))
+        if 0 < q and num_rows - q < n:
+            groups.setdefault(q, []).append(i)
+    if not groups or spec.k_norm == 0.0 or not spec.s_support(rank_tol).all():
+        return fatal
+    v = spec.s_evecs
+    fh = ((l @ v) / spec.s_evals) @ v.conj().T  # F^* = L S^{-1}
+    g = fh @ l.conj().T
+    row_sq = (l.real**2 + l.imag**2).sum(axis=1)
+    k_norm = spec.k_norm
+    cut = linops.rank_cutoff(1.0, n, rank_tol) / n
+    slack = n * np.finfo(np.float64).eps
+    for q, members in groups.items():
+        gone = np.array([removed[i] for i in members])
+        # the removed row indices of each removal, one removal per row
+        idx = np.nonzero(gone)[1].reshape(len(members), q)
+        _, vecs = np.linalg.eigh(g[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
+        # one witness f^* = v^* F_I^* per row
+        wit = np.einsum("mq,mqn->mn", vecs[:, :, -1].conj(), fh[idx])
+        f_sq = (wit.real**2 + wit.imag**2).sum(axis=1)
+        lf = wit.conj() @ l.T  # row m is (L f_m)^T
+        rho = np.where(gone, 0.0, lf.real**2 + lf.imag**2).sum(axis=1)
+        kappa = np.linalg.norm(wit @ ksys.k, axis=1)  # ||f^* K|| = ||K^* f||
+        t = np.where(gone, 0.0, row_sq).sum(axis=1)
+        # kappa - ||K|| sqrt((rho + delta) / c) > 2 RTOL ||K||, unnormalized
+        # and squared, so an empty witness or an all-zero kept set declines
+        margin = kappa - 2.0 * RANGE_INCLUSION_RTOL * k_norm * np.sqrt(f_sq)
+        bound_sq = k_norm * k_norm * (rho + slack * t * f_sq)
+        fatal[members] = (margin > 0.0) & (margin * margin * cut * t > bound_sq)
+    return fatal
 
 
 def _survival_floor(ksys: KGSystem) -> float:
@@ -141,13 +215,12 @@ def erasure_norm_count(
     survives = margin > 0.0
     predicted = margin if survives else None
     differs = (len(idx) < a * c) != (len(idx) < a * c * c)
-    reduced = _reduced_bounds(ksys, idx, rank_tol)
     return ErasureReport(
         removed=idx,
         criterion="normCount",
         survives=survives,
         predicted_lower_bound=predicted,
-        actual_lower_bound=reduced.kg_lower_opt,
+        actual_lower_bound=_reduced_kg_lowers(ksys, [idx], rank_tol)[0],
         invertibility_norm=None,
         count_conditions_differ=differs,
     )
@@ -192,13 +265,12 @@ def erasure_invertibility(
         if denom > 0.0:
             predicted = a / (denom * denom)
         stated = a / (inv_norm * inv_norm)
-    reduced = _reduced_bounds(ksys, idx, rank_tol)
     return ErasureReport(
         removed=idx,
         criterion="invertibility",
         survives=survives,
         predicted_lower_bound=predicted,
-        actual_lower_bound=reduced.kg_lower_opt,
+        actual_lower_bound=_reduced_kg_lowers(ksys, [idx], rank_tol)[0],
         invertibility_norm=inv_norm,
         predicted_lower_bound_stated=stated,
     )
@@ -213,20 +285,22 @@ def erasure_brute_report(
     lower bound relative to K and B the full system's Bessel bound.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
-    return _brute_report(ksys, idx, rank_tol, _survival_floor(ksys))
+    return _brute_reports(ksys, [idx], rank_tol)[0]
 
 
-def _brute_report(ksys: KGSystem, idx: tuple[int, ...], rank_tol: float, floor: float):
-    reduced = _reduced_bounds(ksys, idx, rank_tol)
-    survives = reduced.kg_lower_opt is not None and reduced.kg_lower_opt > floor
-    return ErasureReport(
-        removed=idx,
-        criterion="bruteForce",
-        survives=bool(survives),
-        predicted_lower_bound=None,
-        actual_lower_bound=reduced.kg_lower_opt,
-        invertibility_norm=None,
-    )
+def _brute_reports(ksys: KGSystem, subsets: list[tuple[int, ...]], rank_tol: float):
+    floor = _survival_floor(ksys)
+    return [
+        ErasureReport(
+            removed=idx,
+            criterion="bruteForce",
+            survives=lower is not None and lower > floor,
+            predicted_lower_bound=None,
+            actual_lower_bound=lower,
+            invertibility_norm=None,
+        )
+        for idx, lower in zip(subsets, _reduced_kg_lowers(ksys, subsets, rank_tol))
+    ]
 
 
 def brute_force_erasure_search(
@@ -244,9 +318,5 @@ def brute_force_erasure_search(
     total = sum(math.comb(m, r) for r in range(max_remove + 1))
     if total > MAX_SUBSETS:
         raise TooManySubsetsError(f"{total} subsets exceed the {MAX_SUBSETS} budget")
-    floor = _survival_floor(ksys)
-    reports = []
-    for r in range(max_remove + 1):
-        for combo in itertools.combinations(range(m), r):
-            reports.append(_brute_report(ksys, combo, rank_tol, floor))
-    return reports
+    subsets = [c for r in range(max_remove + 1) for c in itertools.combinations(range(m), r)]
+    return _brute_reports(ksys, subsets, rank_tol)

@@ -242,3 +242,13 @@ def test_unusable_rank_tolerances_raise(rank_tol):
         approx_defect(ksys.system, ksys.system, ksys.k, rank_tol=rank_tol)
     with pytest.raises(ValueError):
         brute_force_erasure_search(ksys, 1, rank_tol)
+
+
+@pytest.mark.parametrize("rank_tol", [float("nan"), -1.0])
+def test_unusable_rank_tolerance_raises_for_zero_k_with_or_without_cache(rank_tol):
+    ksys = KGSystem(GSystem(3, (np.eye(3),)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        approx_defect(ksys.system, ksys.system, ksys.k, rank_tol=rank_tol)
+    assert ksys.spectrum is not None
+    with pytest.raises(ValueError):
+        approx_defect(ksys.system, ksys.system, ksys.k, rank_tol=rank_tol)

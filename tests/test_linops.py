@@ -15,7 +15,7 @@ from kgframes import (
     range_projector,
     svd_values,
 )
-from kgframes.linops import as_operator, as_vector
+from kgframes.linops import as_operator, as_vector, range_basis
 
 from oracles import complex_gaussian, power_iteration_norm, random_unit_vector
 
@@ -153,6 +153,15 @@ def test_range_projector_properties():
 
 def test_range_projector_of_zero_matrix():
     assert np.array_equal(range_projector(np.zeros((4, 4))), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+@pytest.mark.parametrize("fn", [pinv, range_basis, range_projector, numerical_rank])
+def test_unusable_tolerance_raises_on_zero_and_empty_matrices(fn, tol):
+    # these return early on such matrices; the tolerance is checked first
+    for m in (np.zeros((2, 2)), np.zeros((0, 3))):
+        with pytest.raises(ValueError):
+            fn(m, tol)
 
 
 def test_psd_sqrt_pinv_squares_to_pseudoinverse():

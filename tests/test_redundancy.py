@@ -1,7 +1,11 @@
 """Tests for erasure criteria and brute-force survival analysis."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgframes import (
     BadIndexError,
@@ -28,7 +32,8 @@ from kgframes import (
     random_kg_system,
     reduced_system,
 )
-from kgframes.redundancy import _survival_floor
+from kgframes.gsystem import RANGE_INCLUSION_RTOL
+from kgframes.redundancy import _block_rows, _fatal_removals, _survival_floor
 
 from oracles import (
     complex_gaussian,
@@ -323,26 +328,144 @@ def test_erasure_bounds_match_the_reduced_system_reference(name, scale):
         assert set(ran.values()) == {len(reports)}
 
 
-def test_search_on_a_cached_spectrum_factors_no_k_and_one_s_per_subset(monkeypatch):
-    ksys = random_kg_system(24, [2] * 13, 8, seed=0)
-    assert ksys.spectrum is not None  # factored before counting starts
-    counts = {"eigh": 0, "eigvalsh": 0, "svd_with_vectors": 0}
+def _count_eigh_by_kind(monkeypatch) -> dict[str, int]:
+    """Counts of n x n ``eigh`` calls, batched (3-D) ones, ``eigvalsh`` and SVDs with vectors."""
+    counts = {"eigh_nxn": 0, "eigh_batched": 0, "eigvalsh": 0, "svd_with_vectors": 0}
+    eigh, eigvalsh, svd = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting_eigh(a, *args, **kwargs):
+        counts["eigh_batched" if np.ndim(a) == 3 else "eigh_nxn"] += 1
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-    svd = np.linalg.svd
+    def counting_eigvalsh(a, *args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
 
     def counting_svd(a, *args, **kwargs):
         if kwargs.get("compute_uv", True):
             counts["svd_with_vectors"] += 1
         return svd(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
+
+
+def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(monkeypatch):
+    # 13 blocks of 2 rows in n = 24: removing two leaves 22 rows, so every
+    # pair is certified fatal from the full factorization; the empty removal
+    # and the 13 single ones take one n x n eigh each
+    ksys = random_kg_system(24, [2] * 13, 8, seed=0)
+    assert ksys.spectrum is not None  # factored before counting starts
+    counts = _count_eigh_by_kind(monkeypatch)
     reports = brute_force_erasure_search(ksys, 2)
-    assert counts == {"eigh": len(reports), "eigvalsh": 0, "svd_with_vectors": 0}
+    assert len(reports) == 92
+    assert counts["eigh_nxn"] == 14
+    # one batched q x q eigh for the one (size, q) group tried: the pairs, q = 4
+    assert counts["eigh_batched"] == 1
+    assert counts["eigvalsh"] == counts["svd_with_vectors"] == 0
+    assert all(r.actual_lower_bound is None for r in reports if len(r.removed) == 2)
+
+
+def test_search_with_a_singular_frame_operator_takes_one_eigh_per_subset(monkeypatch):
+    # 10 rows in n = 6, so three-block removals leave fewer than n rows, but
+    # S is singular and the certificate is not tried
+    chain = overlap_chain_system(6)
+    assert chain.spectrum is not None
+    counts = _count_eigh_by_kind(monkeypatch)
+    reports = brute_force_erasure_search(chain, 3)
+    assert counts == {"eigh_nxn": len(reports), "eigh_batched": 0,
+                      "eigvalsh": 0, "svd_with_vectors": 0}
+
+
+def _assert_equals_reference(ksys, reports, rank_tol):
+    """Each report equals the bounds of the reduced system built from scratch, to the bit."""
+    floor = _survival_floor(ksys)
+    for rep in reports:
+        want = optimal_bounds(reduced_system(ksys, rep.removed), rank_tol=rank_tol).kg_lower_opt
+        assert (rep.actual_lower_bound is None) == (want is None), rep.removed
+        assert rep.actual_lower_bound == want, (rep.removed, rep.actual_lower_bound, want)
+        assert rep.survives == (want is not None and want > floor), rep.removed
+
+
+def _mixed_dims_system(seed: int, k_kind: str) -> KGSystem:
+    """Blocks of 1, 2 and 3 rows and one of none in n = 6: removals of one
+    size remove different row counts q, and some leave fewer than n rows.
+
+    K has full rank, rank 2, or its range spanned by the 3 rows of blocks 0
+    and 1, so removals that keep those blocks survive with fewer than n rows.
+    """
+    rng = np.random.default_rng(seed)
+    n = 6
+    blocks = tuple(complex_gaussian(rng, (d, n)) for d in (2, 1, 0, 3, 1, 2))
+    if k_kind == "in_rows":
+        k = np.vstack(blocks[:2]).conj().T @ complex_gaussian(rng, (3, n))
+    else:
+        rank_k = {"full": n, "rank2": 2}[k_kind]
+        k = complex_gaussian(rng, (n, rank_k)) @ complex_gaussian(rng, (rank_k, n))
+    return KGSystem(GSystem(n, blocks), k)
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-6, 1e6))
+@pytest.mark.parametrize("rank_tol", (0.0, 1e-10, 1e-3))
+@pytest.mark.parametrize("k_kind", ("full", "rank2", "in_rows"))
+def test_fatal_removal_certificate_keeps_every_report_of_the_reference(k_kind, rank_tol, scale):
+    base = _mixed_dims_system(17, k_kind)
+    ksys = KGSystem(base.system.with_matrix(scale * base.system.matrix), base.k)
+    reports = brute_force_erasure_search(ksys, 4, rank_tol)
+    _assert_equals_reference(ksys, reports, rank_tol)
+    for rep in reports:
+        assert erasure_brute_report(ksys, rep.removed, rank_tol) == rep
+    if k_kind == "in_rows":
+        # survivors that leave fewer rows than n exist, so "fewer rows" alone proves nothing
+        assert any(r.survives and 0 not in r.removed and 3 in r.removed for r in reports)
+
+
+def test_fatal_removal_certificate_fires_on_mixed_block_dims():
+    ksys = _mixed_dims_system(17, "rank2")
+    subsets = [c for r in range(5) for c in itertools.combinations(range(6), r)]
+    removed = [_block_rows(ksys.system, idx) for idx in subsets]
+    fatal = _fatal_removals(ksys, removed, 1e-10)
+    counts = {int(rows.sum()) for rows, dead in zip(removed, fatal) if dead}
+    assert len(counts) > 1  # certified removals of more than one row count
+    assert not _fatal_removals(ksys, removed, 0.0).any()
+
+
+@pytest.mark.parametrize("k_component", (0.5, 2.0))
+def test_fatal_removal_certificate_declines_near_the_range_threshold(k_component):
+    # dropping blocks 1 and 2 leaves the rows e1, e2 in n = 3, whose only
+    # kernel direction e3 carries a K-component of about RANGE_INCLUSION_RTOL ||K||
+    rng = np.random.default_rng(6)
+    u, _ = np.linalg.qr(complex_gaussian(rng, (3, 3)))
+    rows = (np.eye(3)[:2], np.eye(3)[2:], np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0))
+    k = np.diag([1.0, 1.0, k_component * RANGE_INCLUSION_RTOL])
+    ksys = KGSystem(GSystem(3, tuple(r @ u for r in rows)), u.conj().T @ k @ u)
+    assert not _fatal_removals(ksys, [_block_rows(ksys.system, (1, 2))], 1e-10).any()
+    reports = brute_force_erasure_search(ksys, 2)
+    _assert_equals_reference(ksys, reports, 1e-10)
+    assert (reports[-1].actual_lower_bound is None) == (k_component > 1.0)
+
+
+@st.composite
+def _erasure_instances(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 6))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    rank_k = draw(st.integers(0, n))
+    blocks = tuple(10.0 ** rng.uniform(-6, 6) * complex_gaussian(rng, (d, n)) for d in dims)
+    # range(K) inside the span of a few blocks' rows, so that removals leaving
+    # fewer than n rows can survive
+    spanning = draw(st.lists(st.integers(0, len(dims) - 1), max_size=2, unique=True))
+    basis = np.vstack([blocks[j] for j in spanning]).conj().T if spanning else np.eye(n)
+    k = basis @ complex_gaussian(rng, (basis.shape[1], rank_k)) @ complex_gaussian(rng, (rank_k, n))
+    rank_tol = draw(st.sampled_from((0.0, 1e-10, 1e-3)))
+    return KGSystem(GSystem(n, blocks), k), min(3, len(dims)), rank_tol
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_erasure_instances())
+def test_erasure_search_equals_the_reduced_system_reference_property(instance):
+    ksys, max_remove, rank_tol = instance
+    _assert_equals_reference(ksys, brute_force_erasure_search(ksys, max_remove, rank_tol), rank_tol)
