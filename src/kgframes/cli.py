@@ -9,7 +9,6 @@ and report-only commands accept ``-o`` to redirect the report instead.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -169,7 +168,7 @@ def _reconstruct(args, ksys, cand, target) -> dict:
         "steps": len(trace.errors) - 1,
         "errors": list(trace.errors),
         "predicted_bound": list(trace.predicted_bound),
-        "iterates": [serialization.complex_pairs(it) for it in trace.iterates],
+        "iterates": trace.iterates,
     }
 
 
@@ -183,8 +182,8 @@ def _lift(args, ksys, cand, fams) -> dict:
         "operator_defect": result.operator_defect,
         "vector_defect": result.vector_defect,
         "restricted_defect": result.restricted_defect,
-        "vectors_e": [serialization.complex_pairs(v) for v in result.vectors_e],
-        "vectors_f": [serialization.complex_pairs(v) for v in result.vectors_f],
+        "vectors_e": result.vectors_e,
+        "vectors_f": result.vectors_f,
     }
 
 
@@ -222,11 +221,13 @@ _COMMANDS = {
     "lift": (_lift, ("system", "candidate", "frames")),
     "erase": (_erase, ("system",)),
 }
+# Loader names, looked up on ``serialization`` at call time so that a wrapper
+# installed on the module after import sees every load.
 _LOADERS = {
-    "system": serialization.load_system,
-    "candidate": serialization.load_system,
-    "vector": serialization.load_vector,
-    "frames": serialization.load_frame_family,
+    "system": "load_system",
+    "candidate": "load_system",
+    "vector": "load_vector",
+    "frames": "load_frame_family",
 }
 
 
@@ -248,7 +249,8 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict]:
     """
     _check_arguments(args)
     handler, inputs = _COMMANDS[args.command]
-    payload = handler(args, *(_LOADERS[key](getattr(args, key)) for key in inputs))
+    loaded = (getattr(serialization, _LOADERS[key])(getattr(args, key)) for key in inputs)
+    payload = handler(args, *loaded)
     return payload, {key: _digest_entry(getattr(args, key)) for key in inputs}
 
 
@@ -273,13 +275,11 @@ def main(argv=None) -> int:
         "payload": payload,
         "wall_time_s": time.perf_counter() - started,
     }
-    text = json.dumps(report, indent=1)
     output = getattr(args, "output", None)
     if output is not None and args.command not in _SYSTEM_WRITERS:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        serialization._write_json(report, output)
     else:
-        print(text)
+        serialization._dump_json(report, sys.stdout)
     return 0
 
 
@@ -289,7 +289,7 @@ def _emit_error(argv: list[str], exc: Exception) -> None:
         "command": argv,
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-    print(json.dumps(doc, indent=1), file=sys.stderr)
+    serialization._dump_json(doc, sys.stderr)
 
 
 if __name__ == "__main__":

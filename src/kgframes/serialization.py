@@ -1,14 +1,19 @@
 """JSON interchange for systems, vectors, and frame families.
 
 Complex matrices are stored as row-major lists of ``[re, im]`` pairs so
-files stay language neutral and diff friendly. Floats round-trip exactly
-through the standard JSON encoder, which makes save/load bit-exact.
+files stay language neutral and diff friendly. Every file and report is
+written by one private writer whose bytes are those of
+``json.dumps(doc, indent=1)`` plus a newline. It writes the ``[re, im]``
+pairs of each finite matrix straight from the array, with one join over
+``float.__repr__``: the shortest text that parses back to the same double,
+so save/load is bit-exact. Every other value is written by ``json`` itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +89,16 @@ def complex_pairs(a) -> list[list[float]]:
     return flat.reshape(-1, 2).tolist()
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
+def _matrix_doc(m) -> dict:
+    """A matrix document holding the array itself as ``entries``; the writer
+    writes it as ``complex_pairs`` of the array."""
     a = np.asarray(m, dtype=np.complex128)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": complex_pairs(a)}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": a}
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    doc = _matrix_doc(m)
+    return {**doc, "entries": complex_pairs(doc["entries"])}
 
 
 def _pairs_array(entries: list, count: int) -> np.ndarray | None:
@@ -94,23 +106,31 @@ def _pairs_array(entries: list, count: int) -> np.ndarray | None:
 
     The type scan comes first: numpy would convert "1.0" and True silently.
     """
-    if not all(type(pair) is list for pair in entries) or not all(
-            type(x) in (int, float) for pair in entries for x in pair):
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
         return None
     try:
-        flat = np.asarray(entries, dtype=np.float64)
-    except (ValueError, OverflowError):
+        flat = np.fromiter(chain.from_iterable(entries), dtype=np.float64, count=2 * count)
+    except OverflowError:
         return None
-    ok = flat.shape == (count, 2) and np.all(np.isfinite(flat))
-    return flat.view(np.complex128).reshape(-1) if ok else None
+    ok = np.all(np.isfinite(flat))
+    return flat.view(np.complex128) if ok else None
+
+
+def _integer(value) -> int:
+    """A JSON integer as the file schemas read it: an int, or a float with
+    no fractional part; a bool, a string or any other number is rejected."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
 
 
 def matrix_from_json(obj, where: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _integer(obj["rows"])
+        cols = _integer(obj["cols"])
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: missing or malformed rows/cols/entries") from exc
@@ -135,23 +155,81 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def _pairs_chunks(a: np.ndarray, depth: int):
+    """A complex array as ``json.dumps(complex_pairs(a), indent=1)`` writes it
+    at nesting ``depth``: its floats in one join over ``float.__repr__``,
+    with no list per pair."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1)
+    if not parts.size or not np.all(np.isfinite(parts)):
+        # [] and json's NaN / Infinity
+        yield from _json_chunks(complex_pairs(a), depth)
+        return
+    outer, pair, inner = ("\n" + " " * (depth + d) for d in (0, 1, 2))
+    reprs = map(float.__repr__, parts.tolist())
+    yield f"[{pair}[{inner}"
+    yield f"{pair}],{pair}[{inner}".join(map(f",{inner}".join, zip(reprs, reprs)))
+    yield f"{pair}]{outer}]"
+
+
+def _json_chunks(value, depth: int = 0):
+    """The text of ``json.dumps(value, indent=1)`` in pieces, where a numpy
+    array stands for ``complex_pairs`` of it. Dict keys must be strings."""
+    if isinstance(value, np.ndarray):
+        yield from _pairs_chunks(value, depth)
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = "\n" + " " * (depth + 1)
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(item, depth + 1)
+            sep = "," + inner
+        yield "\n" + " " * depth + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = "\n" + " " * (depth + 1)
+        sep = "[" + inner
+        for item in value:
+            yield sep
+            yield from _json_chunks(item, depth + 1)
+            sep = "," + inner
+        yield "\n" + " " * depth + "]"
+    else:
+        yield json.dumps(value)
+
+
+def _dump_json(doc, fh) -> None:
+    """Write ``json.dumps(doc, indent=1)`` and a newline to the text stream
+    ``fh``, one matrix or smaller piece at a time (arrays as in
+    ``_json_chunks``)."""
+    fh.writelines(_json_chunks(doc))
+    fh.write("\n")
+
+
 def _write_json(doc: dict, path) -> None:
-    # streamed: the same bytes as json.dumps(doc, indent=1), without the
-    # whole text (many times the file size as chunks) in memory at once
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        _dump_json(doc, fh)
 
 
 def _read_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -162,8 +240,8 @@ def save_system(ksys: KGSystem, path) -> None:
         "version": SYSTEM_SCHEMA_VERSION,
         "ambient_dim": ksys.ambient_dim,
         "field": "complex",
-        "blocks": [matrix_to_json(b) for b in ksys.system.blocks],
-        "k": matrix_to_json(ksys.k),
+        "blocks": [_matrix_doc(b) for b in ksys.system.blocks],
+        "k": _matrix_doc(ksys.k),
     }
     _write_json(doc, path)
 
@@ -177,7 +255,7 @@ def load_system(path) -> KGSystem:
     if doc.get("field") != "complex":
         raise ParseError(f"{path}: field must be 'complex'")
     try:
-        n = int(doc["ambient_dim"])
+        n = _integer(doc["ambient_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed ambient_dim") from exc
     raw_blocks = doc.get("blocks")
@@ -205,7 +283,7 @@ def save_vector(v: np.ndarray, path) -> None:
     doc = {
         "version": VECTOR_SCHEMA_VERSION,
         "dim": int(a.shape[0]),
-        "entries": complex_pairs(a),
+        "entries": a,
     }
     _write_json(doc, path)
 
@@ -215,7 +293,7 @@ def load_vector(path) -> np.ndarray:
     if doc.get("version") != VECTOR_SCHEMA_VERSION:
         raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
     try:
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed dim") from exc
     mat = matrix_from_json({"rows": dim, "cols": 1, "entries": doc.get("entries", [])}, f"{path}: entries")
@@ -225,7 +303,7 @@ def load_vector(path) -> np.ndarray:
 def save_frame_family(fams: SubspaceFrameFamily, path) -> None:
     doc = {
         "version": FRAMES_SCHEMA_VERSION,
-        "families": [matrix_to_json(f) for f in fams.families],
+        "families": [_matrix_doc(f) for f in fams.families],
     }
     _write_json(doc, path)
 

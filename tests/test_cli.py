@@ -325,6 +325,46 @@ def test_missing_input_file_is_an_input_error(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("edit, needle", [
+    (lambda text: text.encode().replace(b'"complex"', b'"compl\xe9x"'), "not UTF-8"),
+    (lambda text: ("[" * 100000).encode(), "nested too deeply"),
+    (lambda text: text.replace('"ambient_dim": 3', '"ambient_dim": 2.7').encode(), "ambient_dim"),
+    (lambda text: text.replace('"ambient_dim": 3', '"ambient_dim": "3"').encode(), "ambient_dim"),
+    (lambda text: text.replace('"rows": 2', '"rows": 1.9').replace('"cols": 3', '"cols": "3"', 1)
+     .encode(), "rows/cols"),
+], ids=["not-utf8", "too-deep", "float-dim", "string-dim", "float-and-string-rows-cols"])
+def test_malformed_input_files_are_parse_errors(tmp_path, capsys, edit, needle):
+    path = tmp_path / "sys.json"
+    save_system(KGSystem(GSystem(3, (np.ones((2, 3)),)), np.eye(3)), path)
+    path.write_bytes(edit(path.read_text()))
+    code, out, err = run_cli(capsys, "bounds", str(path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert needle in error["message"]
+    assert err == json.dumps(json.loads(err), indent=1) + "\n"
+
+
+def test_reports_and_written_files_are_the_stdlib_encoders_bytes(tmp_path, capsys):
+    ksys = random_instance(108)
+    sys_path, dual_path, vec_path, out_path = (
+        tmp_path / name for name in ("sys.json", "dual.json", "vec.json", "report.json"))
+    save_system(ksys, sys_path)
+    save_vector(random_range_vector(np.random.default_rng(4), ksys.k), vec_path)
+    code, out, _ = run_cli(capsys, "dual", str(sys_path), "-o", str(dual_path))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+    text = dual_path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    code, out, _ = run_cli(capsys, "reconstruct", str(sys_path), str(dual_path),
+                           "--vec", str(vec_path), "--N", "3", "-o", str(out_path))
+    assert code == 0 and out == ""
+    text = out_path.read_text()
+    assert json.loads(text)["payload"]["iterates"]
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,12 +1,16 @@
 """Tests for the JSON system, vector, and frame-family files."""
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kgframes import (
     DimMismatchError,
+    SubspaceFrameFamily,
     KGSystem,
     GSystem,
     ParseError,
@@ -21,6 +25,9 @@ from kgframes import (
 from kgframes.serialization import (
     SYSTEM_FILE_SCHEMA,
     SYSTEM_SCHEMA_VERSION,
+    VECTOR_SCHEMA_VERSION,
+    _dump_json,
+    complex_pairs,
     file_digest,
     matrix_from_json,
     matrix_to_json,
@@ -168,3 +175,144 @@ def test_save_system_output_is_deterministic(tmp_path):
     save_system(ksys, p1)
     save_system(ksys, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_system_and_vector_round_trips_keep_sign_bits_and_subnormals(tmp_path):
+    # np.array_equal counts -0.0 equal to 0.0; the uint64 views do not
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                        -1e308, 1.7976931348623157e308, -0.1, 1 / 3, 1e-300, -2.5e-320])
+    m = special.view(np.complex128).reshape(2, 3)
+    k = np.resize(-special, 18).view(np.complex128).reshape(3, 3)
+    ksys = KGSystem(GSystem(3, (m, -m, np.zeros((0, 3)))), k)
+    path = tmp_path / "sys.json"
+    save_system(ksys, path)
+    back = load_system(path)
+    for a, b in zip((*back.system.blocks, back.k), (*ksys.system.blocks, ksys.k)):
+        assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+    vec = special.view(np.complex128)
+    save_vector(vec, path)
+    assert np.array_equal(load_vector(path).view(np.uint64), vec.view(np.uint64))
+
+
+# The writer against the stdlib encoder: seeded, bounded examples.
+WRITER = settings(max_examples=60, derandomize=True, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 0.1, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), ANY_FLOAT,
+    ANY_FLOAT.map(np.float64),
+    st.text(max_size=6), st.sampled_from(['say "hi"', "naïve ∑  ", "back\\\\slash", "tab\\t"]),
+)
+PAIR_LISTS = st.lists(st.lists(st.one_of(ANY_FLOAT, ANY_FLOAT.map(np.float64), st.integers()),
+                               min_size=2, max_size=2), max_size=4)
+# arrays stand for their complex_pairs: real or complex, 1-D or 2-D, some non-finite
+ARRAYS = st.one_of(st.lists(FINITE, max_size=12), st.lists(ANY_FLOAT, max_size=4)).flatmap(
+    lambda xs: st.sampled_from([
+        np.array(xs, dtype=np.float64),
+        np.array(xs[: len(xs) // 2 * 2], dtype=np.float64).view(np.complex128),
+        np.array(xs[: len(xs) // 2 * 2], dtype=np.float64).view(np.complex128).reshape(-1, 1),
+    ]))
+JSONISH = st.recursive(
+    st.one_of(SCALARS, PAIR_LISTS, ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _stdlib(doc) -> str:
+    return json.dumps(doc, indent=1, default=complex_pairs) + "\n"
+
+
+@st.composite
+def _matrices(draw, cols=None):
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.integers(0, 3)) if cols is None else cols
+    if draw(st.booleans()):
+        return np.zeros((rows, cols), dtype=np.complex128)
+    parts = draw(st.lists(FINITE, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+def _pairs_doc(m) -> dict:
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+
+
+@WRITER
+@given(data=st.data())
+def test_saved_files_are_the_stdlib_encoders_bytes(tmp_path, data):
+    n = data.draw(st.integers(1, 3))
+    blocks = data.draw(st.lists(_matrices(cols=n), max_size=3))
+    k = data.draw(st.one_of(_matrices(cols=n).filter(lambda m: m.shape[0] == n),
+                            st.just(np.eye(n, dtype=np.complex128))))
+    path = tmp_path / "out.json"
+    save_system(KGSystem(GSystem(n, tuple(blocks)), k), path)
+    assert path.read_text() == _stdlib({
+        "version": SYSTEM_SCHEMA_VERSION, "ambient_dim": n, "field": "complex",
+        "blocks": [_pairs_doc(b) for b in blocks], "k": _pairs_doc(k)})
+    vec = data.draw(_matrices(cols=1)).reshape(-1)
+    save_vector(vec, path)
+    assert path.read_text() == _stdlib({
+        "version": VECTOR_SCHEMA_VERSION, "dim": vec.size,
+        "entries": _pairs_doc(vec.reshape(-1, 1))["entries"]})
+    fams = data.draw(st.lists(_matrices(), max_size=3))
+    save_frame_family(SubspaceFrameFamily(tuple(fams), 1.0, 1.0), path)
+    assert path.read_text() == _stdlib({
+        "version": "kgframes.frames/1", "families": [_pairs_doc(f) for f in fams]})
+
+
+@WRITER
+@given(doc=st.dictionaries(st.text(max_size=8), JSONISH, max_size=6))
+def test_written_reports_are_the_stdlib_encoders_bytes(doc):
+    for value in (doc, {}, {"payload": doc, "empty": [], "nested": {"e": {}}}):
+        buf = io.StringIO()
+        _dump_json(value, buf)
+        assert buf.getvalue() == _stdlib(value)
+
+
+def test_writer_rejects_unknown_types_and_non_string_keys():
+    for bad in ({"k": object()}, {"k": [np.int64(1)]}, {1: 0}):
+        with pytest.raises(TypeError):
+            _dump_json(bad, io.StringIO())
+
+
+def test_reader_rejects_text_that_is_not_utf8_or_too_deep(tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_bytes(b'{"version": "kgframes.system/1", "field": "\xff"}')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_system(path)
+    path.write_text("[" * 100000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        load_system(path)
+
+
+@pytest.mark.parametrize("value", [2.7, "2", True, 1e999, None, [2]])
+def test_reader_rejects_dimensions_that_are_not_integers(tmp_path, value):
+    path = tmp_path / "sys.json"
+    doc = {"version": SYSTEM_SCHEMA_VERSION, "ambient_dim": value, "field": "complex",
+           "blocks": []}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="malformed ambient_dim"):
+        load_system(path)
+    path.write_text(json.dumps({"version": VECTOR_SCHEMA_VERSION, "dim": value, "entries": []}))
+    with pytest.raises(ParseError, match="malformed dim"):
+        load_vector(path)
+    with pytest.raises(ParseError, match="malformed rows/cols"):
+        matrix_from_json({"rows": value, "cols": 1, "entries": [[1, 0], [2, 0]]}, "m")
+    with pytest.raises(ParseError, match="malformed rows/cols"):
+        matrix_from_json({"rows": 1.9, "cols": "2", "entries": [[1, 0], [2, 0]]}, "m")
+
+
+def test_reader_takes_integral_floats_as_the_schema_does(tmp_path):
+    # JSON Schema's "integer" includes 2.0
+    jsonschema.validate({"version": SYSTEM_SCHEMA_VERSION, "ambient_dim": 2.0,
+                         "field": "complex", "blocks": []}, SYSTEM_FILE_SCHEMA)
+    back = matrix_from_json({"rows": 1.0, "cols": 2.0, "entries": [[1, 0], [2, 0]]}, "m")
+    assert np.array_equal(back, np.array([[1, 2]]))
