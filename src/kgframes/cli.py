@@ -93,7 +93,10 @@ def _gen(args) -> dict:
     else:
         if args.dims is None or args.rank_k is None:
             raise InputError("random generation needs --dims and --rank-k")
-        dims = [int(d) for d in args.dims.split(",") if d != ""]
+        try:
+            dims = [int(d) for d in args.dims.split(",") if d != ""]
+        except ValueError:
+            raise InputError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
         ksys = constructions.random_kg_system(args.n, dims, args.rank_k, args.seed)
     serialization.save_system(ksys, args.output)
     return {
@@ -240,18 +243,22 @@ def _check_arguments(args: argparse.Namespace) -> None:
     for dest in ("num_terms", "num_steps"):
         if getattr(args, dest, 0) < 0:
             raise InputError(f"--N must be non-negative, got {getattr(args, dest)}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, dict]:
     """Dispatch one parsed command; returns (payload, input digests).
 
-    The arguments are checked before any input file is read.
+    The arguments are checked before any input file is read, and every
+    input is loaded and digested before the handler runs, so a digest is
+    that of the file read even when the handler writes over it.
     """
     _check_arguments(args)
     handler, inputs = _COMMANDS[args.command]
-    loaded = (getattr(serialization, _LOADERS[key])(getattr(args, key)) for key in inputs)
-    payload = handler(args, *loaded)
-    return payload, {key: _digest_entry(getattr(args, key)) for key in inputs}
+    loaded = [getattr(serialization, _LOADERS[key])(getattr(args, key)) for key in inputs]
+    digests = {key: _digest_entry(getattr(args, key)) for key in inputs}
+    return handler(args, *loaded), digests
 
 
 def main(argv=None) -> int:
@@ -261,25 +268,25 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, inputs = _run(args)
+        report = {
+            "version": serialization.REPORT_SCHEMA_VERSION,
+            "command": argv,
+            "inputs": inputs,
+            "tolerances": {"rank": args.tol_rank, "dual": args.tol_dual},
+            "payload": payload,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        output = getattr(args, "output", None)
+        if output is not None and args.command not in _SYSTEM_WRITERS:
+            serialization._write_json(report, output)
+        else:
+            serialization._dump_json(report, sys.stdout)
     except InputError as exc:
         _emit_error(argv, exc)
         return 2
     except ComputationError as exc:
         _emit_error(argv, exc)
         return 1
-    report = {
-        "version": serialization.REPORT_SCHEMA_VERSION,
-        "command": argv,
-        "inputs": inputs,
-        "tolerances": {"rank": args.tol_rank, "dual": args.tol_dual},
-        "payload": payload,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    output = getattr(args, "output", None)
-    if output is not None and args.command not in _SYSTEM_WRITERS:
-        serialization._write_json(report, output)
-    else:
-        serialization._dump_json(report, sys.stdout)
     return 0
 
 

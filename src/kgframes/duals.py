@@ -7,7 +7,8 @@ measures how far a candidate is from that identity; any defect below one
 supports Neumann-series correction and reconstruction. Operators "on
 range(K)" are compressed to an orthonormal basis B of range(K) (P = B B^*),
 so every restricted norm and inverse is taken on r x r or n x r matrices,
-r the rank of K.
+r the rank of K. Neumann reconstruction steps likewise act on r-vectors of
+coordinates in B through the r x r compression B^* M B, and form no inverse.
 """
 
 from __future__ import annotations
@@ -226,10 +227,15 @@ def neumann_reconstruct(
 ) -> ReconstructionTrace:
     """Reconstruct a vector of range(K) by the geometric correction series.
 
-    Runs the iteration built only from analysis and synthesis applications:
-    the N-th iterate adds the projected correction of the previous residual
-    term, never forming an inverse. Iteration stops after ``num_steps``
-    corrections or once the error falls below 1e-12 relative to ||f||.
+    The N-th iterate is sum_{n=0..N} P (I - M)^n M f, built from one
+    analysis and one synthesis application to f and never forming an
+    inverse. The series runs in the coordinates of the range basis B of K
+    (P = B B^*): with t_0 = B^* M f and C = B^* M B, the next term is
+    t_{N+1} = (I_r - C) t_N and the N-th iterate is B (t_0 + ... + t_N),
+    so a step costs one r x r and one n x r product, r the rank of K. Each
+    error is measured in the whole space as ||f - iterate||. Iteration
+    stops after ``num_steps`` corrections or once the error falls below
+    1e-12 relative to ||f||.
 
     Raises
     ------
@@ -242,36 +248,29 @@ def neumann_reconstruct(
     """
     if num_steps < 0:
         raise ValueError("num_steps must be non-negative")
-    cert, b, _ = _require_approx_dual(system, candidate, k, rank_tol)
+    cert, b, c = _require_approx_dual(system, candidate, k, rank_tol)
     f = linops.as_vector(target)
     if f.shape[0] != system.ambient_dim:
         raise DimMismatchError(f"vector has length {f.shape[0]}, expected {system.ambient_dim}")
     b_star = b.conj().T
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return b @ (b_star @ v)
-
     f_norm = float(np.linalg.norm(f))
-    if float(np.linalg.norm(f - project(f))) > MEMBERSHIP_RTOL * f_norm:
+    if float(np.linalg.norm(f - b @ (b_star @ f))) > MEMBERSHIP_RTOL * f_norm:
         raise NotInRangeError("target vector is not in range(K)")
 
-    def apply_mixed(v: np.ndarray) -> np.ndarray:
-        # analysis by the candidate, then synthesis by the system as
-        # L^* y = conj(L^T conj(y)), which copies no matrix
-        return (system.matrix.T @ (candidate.matrix @ v).conj()).conj()
-
-    term = project(apply_mixed(f))
-    approx = term.copy()
-    iterates = [approx.copy()]
-    errors = [float(np.linalg.norm(f - approx))]
+    # M f = L^* (T f) = conj(L^T conj(T f)), which copies no matrix
+    term = b_star @ (system.matrix.T @ (candidate.matrix @ f).conj()).conj()
+    q = np.eye(c.shape[0]) - c  # B^* (I - M) B
+    coords = term.copy()
+    iterates = [b @ coords]
+    errors = [float(np.linalg.norm(f - iterates[0]))]
     predicted = [cert.defect * f_norm]
     for step in range(1, num_steps + 1):
         if errors[-1] <= NEUMANN_STOP_RTOL * f_norm:
             break
-        term = project(term - apply_mixed(term))
-        approx += term
-        iterates.append(approx.copy())
-        errors.append(float(np.linalg.norm(f - approx)))
+        term = q @ term
+        coords += term
+        iterates.append(b @ coords)
+        errors.append(float(np.linalg.norm(f - iterates[-1])))
         predicted.append(cert.defect ** (step + 1) * f_norm)
     return ReconstructionTrace(tuple(iterates), tuple(errors), tuple(predicted))
 

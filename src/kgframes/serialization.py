@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import SubspaceFrameFamily
-from .errors import DimMismatchError, ParseError
+from .errors import DimMismatchError, InputError, ParseError
 from .gsystem import GSystem, KGSystem
 
 SYSTEM_SCHEMA_VERSION = "kgframes.system/1"
@@ -213,8 +213,11 @@ def _dump_json(doc, fh) -> None:
 
 
 def _write_json(doc: dict, path) -> None:
-    with open(path, "w") as fh:
-        _dump_json(doc, fh)
+    try:
+        with open(path, "w") as fh:
+            _dump_json(doc, fh)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_json(path) -> dict:
@@ -321,4 +324,10 @@ def load_frame_family(path) -> SubspaceFrameFamily:
 
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    # hashed in chunks, so that no copy of the whole file is held beside the
+    # inputs the CLI has already loaded
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 18), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

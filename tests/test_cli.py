@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line driver."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -317,6 +318,47 @@ def test_zero_dual_tolerance_and_zero_steps_are_accepted(tmp_path, capsys):
                            "--vec", str(vec_path), "--N", "0")
     assert code == 0
     assert read_report(out)["payload"]["steps"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("gen", "random", "--n", "8", "--dims", "2,2,2,2,2", "--rank-k", "3",
+          "-o", "MISSING/x.json"), "cannot write"),
+        (("bounds", "SYS", "-o", "MISSING/r.json"), "cannot write"),
+        (("gen", "random", "--n", "8", "--dims", "a,b", "--rank-k", "3", "-o", "OUT"), "--dims"),
+        (("gen", "random", "--n", "8", "--dims", "2,2,2,2,2", "--rank-k", "3",
+          "--seed", "-5", "-o", "OUT"), "--seed"),
+    ],
+)
+def test_unwritable_outputs_and_malformed_gen_arguments_are_input_errors(
+    tmp_path, capsys, argv, needle
+):
+    sys_path = tmp_path / "sys.json"
+    save_system(random_instance(109), sys_path)
+    paths = {"SYS": str(sys_path), "OUT": str(tmp_path / "out.json")}
+    argv = [paths.get(a, a.replace("MISSING", str(tmp_path / "missing"))) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].startswith(needle)
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "missing").exists()
+
+
+def test_input_digest_is_of_the_file_read_when_the_output_replaces_it(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    save_system(random_instance(110), path)
+    read = hashlib.sha256(path.read_bytes()).hexdigest()
+    code, out, _ = run_cli(capsys, "dual", str(path), "-o", str(path))
+    assert code == 0
+    report = read_report(out)
+    written = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert written != read
+    assert report["inputs"]["system"]["sha256"] == read
+    assert report["payload"]["sha256"] == written
 
 
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):

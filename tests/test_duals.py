@@ -26,12 +26,14 @@ from kgframes import (
     perturbed_dual,
     pinv,
     random_frame_family,
+    random_kg_system,
     range_projector,
     truncated_neumann_dual,
 )
+from kgframes.duals import NEUMANN_STOP_RTOL
 from kgframes.linops import op_norm
 
-from oracles import complex_gaussian, random_instance, random_range_vector
+from oracles import complex_gaussian, neumann_iterates_of, random_instance, random_range_vector
 
 
 def _zero_candidate(sys: GSystem) -> GSystem:
@@ -296,3 +298,86 @@ def test_lift_validates_family_count():
     fams = random_frame_family(ksys.system.block_dims + (2,), seed=4)
     with pytest.raises(DimMismatchError):
         lift_to_vector_frames(ksys.system, ksys.system, fams)
+
+
+def _assert_matches_oracle(system: GSystem, candidate: GSystem, k, f, num_steps: int):
+    """The trace agrees with the per-block oracle within 1e-12 ||f|| at every
+    step it ran, and its errors are the distances of its own iterates."""
+    trace = neumann_reconstruct(system, candidate, k, f, num_steps=num_steps)
+    f = np.asarray(f, dtype=np.complex128)
+    f_norm = float(np.linalg.norm(f))
+    want = neumann_iterates_of(system, candidate, np.array(k), f, len(trace.iterates) - 1)
+    for got, ref in zip(trace.iterates, want):
+        assert np.linalg.norm(got - ref) <= 1e-12 * f_norm
+    for err, x in zip(trace.errors, trace.iterates):
+        assert err == float(np.linalg.norm(f - x))
+    return trace
+
+
+def test_reconstruction_matches_oracle_on_a_rank_deficient_k():
+    ksys = random_kg_system(10, [3] * 6, 4, seed=21)
+    assert ksys.spectrum.k_rank(1e-10) == 4
+    cand = perturbed_dual(ksys, 0.6, seed=2)
+    f = random_range_vector(np.random.default_rng(3), ksys.k)
+    trace = _assert_matches_oracle(ksys.system, cand, ksys.k, f, 40)
+    assert len(trace.errors) > 20
+
+
+def test_reconstruction_matches_oracle_with_an_empty_block():
+    base = random_kg_system(6, [2, 3, 2, 2], 3, seed=22)
+    blocks = base.system.blocks
+    system = GSystem(6, (blocks[0], np.zeros((0, 6)), *blocks[1:]))
+    ksys = KGSystem(system, base.k)
+    cand = perturbed_dual(ksys, 0.5, seed=4)
+    assert cand.block_dims == (2, 0, 3, 2, 2)
+    f = random_range_vector(np.random.default_rng(5), ksys.k)
+    _assert_matches_oracle(system, cand, ksys.k, f, 30)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_reconstruction_matches_oracle_on_rescaled_blocks(scale):
+    base = random_kg_system(8, [2] * 6, 5, seed=23)
+    ksys = KGSystem(base.system.with_matrix(scale * base.system.matrix), base.k)
+    cand = perturbed_dual(ksys, 0.5, seed=6)
+    f = random_range_vector(np.random.default_rng(7), ksys.k)
+    _assert_matches_oracle(ksys.system, cand, ksys.k, f, 30)
+
+
+def test_long_reconstruction_matches_oracle_and_stops_by_the_rule():
+    ksys = random_kg_system(8, [2] * 6, 5, seed=24)
+    # the scaled canonical dual has defect 0.98 and errors 0.98^(N+1) ||f||
+    dual = canonical_kg_dual(ksys)
+    cand = dual.with_matrix(0.02 * dual.matrix)
+    assert abs(approx_defect(ksys.system, cand, ksys.k).defect - 0.98) <= 1e-12
+    f = random_range_vector(np.random.default_rng(9), ksys.k)
+    trace = _assert_matches_oracle(ksys.system, cand, ksys.k, f, 2000)
+    assert len(trace.errors) > 1000
+    f_norm = float(np.linalg.norm(f))
+    assert all(err > 1e-12 * f_norm for err in trace.errors[:-1])
+    assert trace.errors[-1] <= 1e-12 * f_norm or len(trace.errors) == 2001
+
+
+@pytest.mark.parametrize("num_steps", [0, 1, 5, 200])
+def test_reconstruction_stops_at_the_first_small_error_or_the_cap(num_steps):
+    ksys = random_instance(81)
+    f = random_range_vector(np.random.default_rng(10), ksys.k)
+    f_norm = float(np.linalg.norm(f))
+    for cand in (canonical_kg_dual(ksys), perturbed_dual(ksys, 0.7, seed=11)):
+        trace = neumann_reconstruct(ksys.system, cand, ksys.k, f, num_steps=num_steps)
+        steps = len(trace.errors) - 1
+        assert len(trace.iterates) == len(trace.predicted_bound) == steps + 1
+        assert all(err > NEUMANN_STOP_RTOL * f_norm for err in trace.errors[:-1])
+        assert trace.errors[-1] <= NEUMANN_STOP_RTOL * f_norm or steps == num_steps
+
+
+def test_reconstruction_of_zero_through_k_zero():
+    base = random_instance(82)
+    n = base.ambient_dim
+    ksys = KGSystem(base.system, np.zeros((n, n)))
+    assert ksys.spectrum.k_rank(1e-10) == 0
+    cand = canonical_kg_dual(ksys)
+    trace = neumann_reconstruct(ksys.system, cand, ksys.k, np.zeros(n), num_steps=10)
+    assert trace.errors == (0.0,)
+    assert trace.predicted_bound == (0.0,)
+    assert len(trace.iterates) == 1 and trace.iterates[0].shape == (n,)
+    assert not np.any(trace.iterates[0])

@@ -349,3 +349,19 @@ def test_k_of_a_collected_system_is_factored_per_call(monkeypatch):
     svds = _record_svds(monkeypatch)
     assert approx_defect(system, candidate, k) == before
     assert svds == [((16, 16), True)]
+
+
+def test_reconstruction_steps_take_no_decomposition(monkeypatch):
+    ksys, _, target = _dual_inputs()
+    dual = canonical_kg_dual(ksys)
+    candidate = dual.with_matrix(0.05 * dual.matrix)  # defect 0.95: all 200 steps run
+    counts = _count_decompositions(monkeypatch)
+    svds = _record_svds(monkeypatch)
+
+    def decompositions(num_steps: int):
+        before, svds_before = dict(counts), len(svds)
+        trace = neumann_reconstruct(ksys.system, candidate, ksys.k, target, num_steps=num_steps)
+        assert len(trace.errors) == num_steps + 1
+        return {key: counts[key] - before[key] for key in counts}, len(svds) - svds_before
+
+    assert decompositions(0) == decompositions(200)
