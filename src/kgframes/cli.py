@@ -261,10 +261,28 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict]:
     return handler(args, *loaded), digests
 
 
+def _join_negative_dims(argv: list[str]) -> list[str]:
+    """``argv`` with ``--dims -1,6`` written as ``--dims=-1,6``.
+
+    argparse takes a token such as ``-1,6`` for an option rather than for
+    the value of the option before it; joined, the value reaches the same
+    dimension check as any other. Abbreviations such as ``--dim`` are
+    joined too, since argparse accepts them.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and len(out[-1]) > 2 and "--dims".startswith(out[-1])
+                and token[:1] == "-" and token[1:2].isdigit()):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_dims(argv))
     started = time.perf_counter()
     try:
         payload, inputs = _run(args)

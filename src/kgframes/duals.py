@@ -8,7 +8,16 @@ supports Neumann-series correction and reconstruction. Operators "on
 range(K)" are compressed to an orthonormal basis B of range(K) (P = B B^*),
 so every restricted norm and inverse is taken on r x r or n x r matrices,
 r the rank of K. Neumann reconstruction steps likewise act on r-vectors of
-coordinates in B through the r x r compression B^* M B, and form no inverse.
+coordinates in B through the r x r compression C = B^* M B, and form no
+inverse.
+
+Each construction takes only the decompositions its result uses, besides
+the factorization of K that yields B: ``approx_defect`` takes two SVD norms
+(the defect and ||I_r - C||); ``exactify_dual``, ``truncated_neumann_dual``
+and ``neumann_reconstruct`` one (the defect); ``perturbed_dual`` one
+(||P G P||). Exactification inverts C by one LU solve unless 1 - defect is
+within the rank cutoff, and the canonical and perturbed duals form no n x n
+operator.
 """
 
 from __future__ import annotations
@@ -93,7 +102,8 @@ def _check_same_shape(system: GSystem, candidate: GSystem) -> None:
         raise DimMismatchError(
             f"ambient dims differ: {system.ambient_dim} vs {candidate.ambient_dim}"
         )
-    if system.block_dims != candidate.block_dims:
+    # equal offsets mean equal block dims, without building either tuple
+    if system.offsets != candidate.offsets:
         raise DimMismatchError(
             f"block dims differ: {system.block_dims} vs {candidate.block_dims}"
         )
@@ -118,24 +128,30 @@ def canonical_kg_dual(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> GSy
         If range(K) is not contained in range(S) at the working tolerance,
         in which case no dual relative to K exists.
     """
+    lsb, b = _canonical_factors(ksys, rank_tol)
+    return ksys.system.with_matrix(lsb @ b.conj().T)
+
+
+def _canonical_factors(ksys: KGSystem, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """L pinv(S) B and the range basis B of K; the canonical dual is (L pinv(S) B) B^*."""
     if not range_condition_holds(ksys, rank_tol):
         raise RangeConditionError("range(K) is not contained in range(S)")
     spec = ksys.spectrum
     support = spec.s_support(rank_tol)
     v = spec.s_evecs[:, support]
     b = spec.k_range(rank_tol)
-    # pinv(S) P = V diag(1/w) V^* B B^* over the support of S
+    # pinv(S) B = V diag(1/w) V^* B over the support of S
     left = (v / spec.s_evals[support]) @ (v.conj().T @ b)
-    return ksys.system.with_matrix((ksys.system.matrix @ left) @ b.conj().T)
+    return ksys.system.matrix @ left, b
 
 
-def _certify(system: GSystem, candidate: GSystem, k, exact_tol: float, rank_tol: float):
-    """The certificate of a candidate, the range basis B of K and C = B^* M B.
+def _certify(system: GSystem, candidate: GSystem, k, rank_tol: float):
+    """The defect of a candidate, the range basis B of K, T B and C = B^* M B.
 
-    Both defects are norms on range(K) only: ||(I - M) P|| = ||B - M B|| and
-    ||P (I - M^*) P|| = ||I_r - C||. B comes from the cached spectrum of the
-    system that owns ``k``, if any, and M B = L^* (T B) is formed as
-    conj(L^T conj(T B)), so neither M nor a conjugated copy of L exists.
+    The defect is a norm on range(K) only: ||(I - M) P|| = ||B - M B||. B
+    comes from the cached spectrum of the system that owns ``k``, if any,
+    and M B = L^* (T B) is formed as conj(L^T conj(T B)), so neither M nor
+    a conjugated copy of L exists.
     """
     _check_same_shape(system, candidate)
     k_op = linops.as_operator(k)
@@ -143,18 +159,16 @@ def _certify(system: GSystem, candidate: GSystem, k, exact_tol: float, rank_tol:
     if k_op.shape != (n, n):
         raise DimMismatchError(f"K has shape {k_op.shape}, expected ({n}, {n})")
     b = _k_range(k_op, rank_tol)
-    mb = (system.matrix.T @ (candidate.matrix @ b).conj()).conj()
-    c = b.conj().T @ mb
-    defect = linops.op_norm(b - mb)
-    interchange = linops.op_norm(np.eye(c.shape[0]) - c)
-    return DualCertificate(defect, defect <= exact_tol, defect < 1.0, interchange), b, c
+    tb = candidate.matrix @ b
+    mb = (system.matrix.T @ tb.conj()).conj()
+    return linops.op_norm(b - mb), b, tb, b.conj().T @ mb
 
 
 def _require_approx_dual(system: GSystem, candidate: GSystem, k, rank_tol: float):
-    cert, b, c = _certify(system, candidate, k, DUAL_EXACT_TOL, rank_tol)
-    if not cert.is_approx_dual:
-        raise NotApproxDualError(f"defect {cert.defect:.6g} is not below 1")
-    return cert, b, c
+    defect, b, tb, c = _certify(system, candidate, k, rank_tol)
+    if not defect < 1.0:
+        raise NotApproxDualError(f"defect {defect:.6g} is not below 1")
+    return defect, b, tb, c
 
 
 def approx_defect(
@@ -165,7 +179,9 @@ def approx_defect(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> DualCertificate:
     """Measure both duality defects of a candidate family relative to K."""
-    return _certify(system, candidate, k, exact_tol, rank_tol)[0]
+    defect, _, _, c = _certify(system, candidate, k, rank_tol)
+    interchange = linops.op_norm(np.eye(c.shape[0]) - c)  # ||P (I - M^*) P||
+    return DualCertificate(defect, defect <= exact_tol, defect < 1.0, interchange)
 
 
 def is_kg_dual(system: GSystem, candidate: GSystem, k, tol: float = DUAL_EXACT_TOL) -> bool:
@@ -185,9 +201,15 @@ def exactify_dual(
     P M P taken on range(K) and extended by zero, so the corrected mixed
     operator restricts to the identity there. Requires defect < 1.
     """
-    _, b, c = _require_approx_dual(system, candidate, k, rank_tol)
-    # pinv(P M P) = B pinv(B^* M B) B^*
-    return candidate.with_matrix(((candidate.matrix @ b) @ linops.pinv(c, rank_tol)) @ b.conj().T)
+    defect, b, tb, c = _require_approx_dual(system, candidate, k, rank_tol)
+    # pinv(P M P) = B pinv(C) B^*. ||I_r - C|| <= defect puts the singular
+    # values of C in [1 - defect, 1 + defect], so when 1 - defect clears the
+    # rank cutoff of pinv, pinv(C) = C^-1 and T B C^-1 is one LU solve.
+    if 1.0 - defect > linops.rank_cutoff(1.0 + defect, c.shape[0], rank_tol):
+        corrected = np.linalg.solve(c.T, tb.T).T
+    else:
+        corrected = tb @ linops.pinv(c, rank_tol)
+    return candidate.with_matrix(corrected @ b.conj().T)
 
 
 def truncated_neumann_dual(
@@ -205,7 +227,7 @@ def truncated_neumann_dual(
     """
     if num_terms < 0:
         raise ValueError("num_terms must be non-negative")
-    _, b, c = _require_approx_dual(system, candidate, k, rank_tol)
+    _, b, tb, c = _require_approx_dual(system, candidate, k, rank_tol)
     # P - P M P = B (I_r - C) B^*, so T_N = B (sum_n (I_r - C)^n) B^*
     eye = np.eye(c.shape[0], dtype=np.complex128)
     q = eye - c
@@ -214,7 +236,7 @@ def truncated_neumann_dual(
     for _ in range(num_terms):
         term = q @ term
         acc += term
-    return candidate.with_matrix(((candidate.matrix @ b) @ acc) @ b.conj().T)
+    return candidate.with_matrix((tb @ acc) @ b.conj().T)
 
 
 def neumann_reconstruct(
@@ -248,7 +270,7 @@ def neumann_reconstruct(
     """
     if num_steps < 0:
         raise ValueError("num_steps must be non-negative")
-    cert, b, c = _require_approx_dual(system, candidate, k, rank_tol)
+    defect, b, _, c = _require_approx_dual(system, candidate, k, rank_tol)
     f = linops.as_vector(target)
     if f.shape[0] != system.ambient_dim:
         raise DimMismatchError(f"vector has length {f.shape[0]}, expected {system.ambient_dim}")
@@ -263,7 +285,7 @@ def neumann_reconstruct(
     coords = term.copy()
     iterates = [b @ coords]
     errors = [float(np.linalg.norm(f - iterates[0]))]
-    predicted = [cert.defect * f_norm]
+    predicted = [defect * f_norm]
     for step in range(1, num_steps + 1):
         if errors[-1] <= NEUMANN_STOP_RTOL * f_norm:
             break
@@ -271,7 +293,7 @@ def neumann_reconstruct(
         coords += term
         iterates.append(b @ coords)
         errors.append(float(np.linalg.norm(f - iterates[-1])))
-        predicted.append(cert.defect ** (step + 1) * f_norm)
+        predicted.append(defect ** (step + 1) * f_norm)
     return ReconstructionTrace(tuple(iterates), tuple(errors), tuple(predicted))
 
 
@@ -289,19 +311,18 @@ def perturbed_dual(
     """
     if not 0.0 <= defect < 1.0:
         raise ValueError("defect must lie in [0, 1)")
-    base = canonical_kg_dual(ksys, rank_tol)
+    lsb, b = _canonical_factors(ksys, rank_tol)
+    b_star = b.conj().T
     if defect == 0.0:
-        return base
-    n = ksys.ambient_dim
-    rng = np.random.default_rng(seed)
-    b = ksys.spectrum.k_range(rank_tol)
+        return ksys.system.with_matrix(lsb @ b_star)
     if b.shape[1] == 0:
         raise TrivialRangeError(f"range(K) is trivial, so no defect {defect} > 0 can be reached")
-    g = _complex_gaussian(rng, (n, n))
-    scale = linops.op_norm(b.conj().T @ g @ b)  # ||P G P||
-    g *= defect / scale
-    factor = np.eye(n, dtype=np.complex128) + g
-    return base.with_matrix(base.matrix @ factor)
+    n = ksys.ambient_dim
+    g = _complex_gaussian(np.random.default_rng(seed), (n, n))
+    bg = b_star @ g
+    scale = linops.op_norm(bg @ b)  # ||P G P||
+    # canonical (I + G) = L pinv(S) B (B^* + B^* G), with G scaled to the defect
+    return ksys.system.with_matrix(lsb @ (b_star + bg * (defect / scale)))
 
 
 def lift_to_vector_frames(

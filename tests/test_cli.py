@@ -348,6 +348,21 @@ def test_unwritable_outputs_and_malformed_gen_arguments_are_input_errors(
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("option", ["--dims", "--dim"])
+def test_a_dims_value_with_a_leading_minus_is_checked_like_any_other(tmp_path, capsys, option):
+    out_path = str(tmp_path / "x.json")
+    tail = ("--rank-k", "2", "-o", out_path)
+    code, out, spaced = run_cli(capsys, "gen", "random", "--n", "4", option, "-1,6", *tail)
+    assert code == 2 and out == ""
+    code, out, joined = run_cli(capsys, "gen", "random", "--n", "4", "--dims=-1,6", *tail)
+    assert code == 2 and out == ""
+    spaced, joined = json.loads(spaced), json.loads(joined)
+    assert spaced["error"]["type"] == "BadDimError"
+    assert spaced["error"] == joined["error"]
+    assert spaced["command"][4:6] == [option, "-1,6"]  # the command as given
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_input_digest_is_of_the_file_read_when_the_output_replaces_it(tmp_path, capsys):
     path = tmp_path / "sys.json"
     save_system(random_instance(110), path)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgframes import (
     DimMismatchError,
@@ -30,10 +32,16 @@ from kgframes import (
     range_projector,
     truncated_neumann_dual,
 )
-from kgframes.duals import NEUMANN_STOP_RTOL
+from kgframes.duals import DUAL_EXACT_TOL, NEUMANN_STOP_RTOL
 from kgframes.linops import op_norm
 
-from oracles import complex_gaussian, neumann_iterates_of, random_instance, random_range_vector
+from oracles import (
+    complex_gaussian,
+    neumann_iterates_of,
+    projector_of,
+    random_instance,
+    random_range_vector,
+)
 
 
 def _zero_candidate(sys: GSystem) -> GSystem:
@@ -48,6 +56,14 @@ def test_mixed_operator_requires_matching_shapes():
     c = GSystem(3, (np.zeros((1, 3)),))
     with pytest.raises(DimMismatchError):
         mixed_operator(a, c)
+
+
+def test_blocks_splitting_the_same_rows_differently_do_not_match():
+    a = GSystem(3, (np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((3, 3))))
+    b = GSystem(3, (np.zeros((0, 3)), np.zeros((2, 3)), np.zeros((3, 3))))
+    with pytest.raises(DimMismatchError) as exc:
+        approx_defect(a, b, np.eye(3))
+    assert str(exc.value) == "block dims differ: (2, 0, 3) vs (0, 2, 3)"
 
 
 def test_canonical_dual_of_identity_system_is_identity():
@@ -153,6 +169,82 @@ def test_exactify_drives_defect_below_threshold():
         cand = perturbed_dual(ksys, eps, seed=seed)
         fixed = exactify_dual(ksys.system, cand, ksys.k)
         assert approx_defect(ksys.system, fixed, ksys.k).defect <= 1e-9
+
+
+def _pinv_exactified(ksys: KGSystem, candidate: GSystem, rank_tol: float = 1e-10) -> np.ndarray:
+    """((T B) pinv(C)) B^*, C = B^* M B: exactification through the pinv of C."""
+    b = ksys.spectrum.k_range(rank_tol)
+    tb = candidate.matrix @ b
+    c = b.conj().T @ (ksys.system.matrix.T @ tb.conj()).conj()
+    return (tb @ pinv(c, rank_tol)) @ b.conj().T
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_exactify_falls_back_to_pinv_when_one_minus_defect_is_within_the_cutoff(monkeypatch):
+    ksys = random_kg_system(10, [3] * 6, 4, seed=31)
+    dual = canonical_kg_dual(ksys)
+    cand = dual.with_matrix(1e-11 * dual.matrix)
+    defect = approx_defect(ksys.system, cand, ksys.k).defect
+    assert abs(defect - (1.0 - 1e-11)) <= 1e-15
+    solves = _count_solves(monkeypatch)
+    fixed = exactify_dual(ksys.system, cand, ksys.k, rank_tol=1e-10)
+    assert solves == []
+    assert np.array_equal(fixed.matrix, _pinv_exactified(ksys, cand))
+
+
+def _empty_block_system() -> KGSystem:
+    base = random_kg_system(6, [2, 3, 2, 2], 3, seed=22)
+    blocks = base.system.blocks
+    return KGSystem(GSystem(6, (blocks[0], np.zeros((0, 6)), *blocks[1:])), base.k)
+
+
+def _rescaled_system(scale: float) -> KGSystem:
+    base = random_kg_system(8, [2] * 6, 5, seed=23)
+    return KGSystem(base.system.with_matrix(scale * base.system.matrix), base.k)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_kg_system(10, [3] * 6, 4, seed=21),  # rank(K) = 4 < n
+    _empty_block_system,
+    lambda: _rescaled_system(1e-6),
+    lambda: _rescaled_system(1e6),
+], ids=["rank_deficient_k", "empty_block", "blocks_1e-6", "blocks_1e6"])
+def test_exactify_by_lu_matches_the_pinv_formula(make, monkeypatch):
+    ksys = make()
+    solves = _count_solves(monkeypatch)
+    for eps in (0.0, 0.5, 0.95):
+        cand = perturbed_dual(ksys, eps, seed=8)
+        solves.clear()
+        fixed = exactify_dual(ksys.system, cand, ksys.k)
+        assert solves == [1]
+        want = _pinv_exactified(ksys, cand)
+        assert np.linalg.norm(fixed.matrix - want) <= 1e-13 * np.linalg.norm(fixed.matrix)
+        assert approx_defect(ksys.system, fixed, ksys.k).defect <= DUAL_EXACT_TOL
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.0, 0.99), st.integers(0, 2**31))
+def test_perturbed_dual_is_the_canonical_dual_times_identity_plus_g(instance, eps, seed):
+    ksys = random_instance(instance)
+    n = ksys.ambient_dim
+    p = projector_of(np.array(ksys.k))
+    g = complex_gaussian(np.random.default_rng(seed), (n, n))
+    g *= eps / np.linalg.norm(p @ g @ p, 2)  # ||P G P|| = eps
+    want = canonical_kg_dual(ksys).matrix @ (np.eye(n) + g)
+    got = perturbed_dual(ksys, eps, seed=seed)
+    assert np.linalg.norm(got.matrix - want) <= 1e-13 * np.linalg.norm(want)
+    assert abs(approx_defect(ksys.system, got, ksys.k).defect - eps) <= 1e-12
 
 
 def test_truncated_dual_geometric_defect_decay():

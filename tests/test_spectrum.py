@@ -295,7 +295,6 @@ def _dual_inputs(seed: int = 3):
 def test_duals_on_a_factored_system_take_no_svd_of_k(monkeypatch):
     ksys, candidate, target = _dual_inputs()
     fams = random_frame_family(ksys.system.block_dims, seed=1)
-    r = ksys.spectrum.k_rank(1e-10)
     counts = _count_decompositions(monkeypatch)
     svds = _record_svds(monkeypatch)
     approx_defect(ksys.system, candidate, ksys.k)
@@ -304,9 +303,25 @@ def test_duals_on_a_factored_system_take_no_svd_of_k(monkeypatch):
     lift_to_vector_frames(ksys.system, candidate, fams, k=ksys.k)
     assert svds == []
     exactify_dual(ksys.system, candidate, ksys.k)
-    # the one SVD of exactification is the pinv of the r x r C = B^* M B
-    assert svds == [((r, r), True)]
+    # the r x r C = B^* M B is inverted by an LU solve, not by the SVD of pinv
+    assert svds == []
     assert counts["eigh"] == 0
+
+
+@pytest.mark.parametrize("construction, norms", [
+    (lambda ksys, cand, f: approx_defect(ksys.system, cand, ksys.k), 2),
+    (lambda ksys, cand, f: exactify_dual(ksys.system, cand, ksys.k), 1),
+    (lambda ksys, cand, f: truncated_neumann_dual(ksys.system, cand, ksys.k, 4), 1),
+    (lambda ksys, cand, f: neumann_reconstruct(ksys.system, cand, ksys.k, f, num_steps=10), 1),
+], ids=["approx_defect", "exactify_dual", "truncated_neumann_dual", "neumann_reconstruct"])
+def test_each_dual_construction_takes_only_the_norms_its_result_reports(
+        construction, norms, monkeypatch):
+    # approx_defect reports the defect and ||I_r - C||; the others use the
+    # defect only, and no construction takes an SVD with vectors
+    ksys, candidate, target = _dual_inputs()
+    counts = _count_decompositions(monkeypatch)
+    construction(ksys, candidate, target)
+    assert counts == {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm2": norms}
 
 
 def test_defect_on_a_fresh_system_factors_only_k(monkeypatch):
