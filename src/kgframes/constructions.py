@@ -1,5 +1,6 @@
 """Builders for K-g-systems: reference examples, random instances, rescaling,
-and composition with vector frames chosen inside each coefficient space."""
+and composition with vector frames chosen inside each coefficient space. The
+flattening and the spanning check also serve the lift in :mod:`kgframes.duals`."""
 
 from __future__ import annotations
 
@@ -160,24 +161,32 @@ class SubspaceFrameFamily:
 
     @classmethod
     def from_vectors(cls, families, tol: float = DEFAULT_RANK_TOL) -> "SubspaceFrameFamily":
-        fams = []
-        lowers = []
-        uppers = []
-        for j, raw in enumerate(families):
-            fam = linops.as_operator(raw)
-            if fam.shape[1] < 1:
-                raise NotAFrameError(f"family {j} lives in a zero-dimensional space")
-            evals = linops.hermitian_eigvals(cls.frame_operator_of(fam))
-            top = max(float(evals[-1]), 0.0)
-            bottom = float(evals[0])
-            if bottom <= linops.rank_cutoff(top, evals.size, tol):
-                raise NotAFrameError(f"family {j} does not span its space")
-            fams.append(fam)
-            lowers.append(bottom)
-            uppers.append(top)
+        fams = tuple(linops.as_operator(raw) for raw in families)
         if not fams:
             raise NotAFrameError("family list is empty")
-        return cls(tuple(fams), float(min(lowers)), float(max(uppers)))
+        bounds = [_spanning_bounds(cls.frame_operator_of(f), j, tol) for j, f in enumerate(fams)]
+        lowers, uppers = zip(*bounds)
+        return cls(fams, float(min(lowers)), float(max(uppers)))
+
+
+def _spanning_bounds(fam_op: np.ndarray, j: int, tol: float) -> tuple[float, float]:
+    """Bounds of family j from its frame operator; NotAFrameError unless it spans at ``tol``."""
+    if fam_op.shape[0] < 1:
+        raise NotAFrameError(f"family {j} lives in a zero-dimensional space")
+    evals = linops.hermitian_eigvals(fam_op)
+    top = max(float(evals[-1]), 0.0)
+    bottom = float(evals[0])
+    if bottom <= linops.rank_cutoff(top, evals.size, tol):
+        raise NotAFrameError(f"family {j} does not span its space")
+    return bottom, top
+
+
+def _canonical_duals(families, tol: float) -> tuple[np.ndarray, ...]:
+    """Canonical dual rows S_j^{-1} f of each family; NotAFrameError unless all span at ``tol``."""
+    ops = [SubspaceFrameFamily.frame_operator_of(fam) for fam in families]
+    for j, fam_op in enumerate(ops):
+        _spanning_bounds(fam_op, j, tol)
+    return tuple(np.linalg.solve(fam_op, fam.T).T for fam_op, fam in zip(ops, families))
 
 
 def random_frame_family(block_dims, seed: int, oversample: int = 2) -> SubspaceFrameFamily:
@@ -197,19 +206,22 @@ def compose(ksys: KGSystem, fams: SubspaceFrameFamily) -> KGSystem:
     ambient dimension and K; its optimal bounds are sandwiched between the
     original ones scaled by the family bound witnesses.
     """
-    if len(fams.families) != ksys.system.num_blocks:
-        raise DimMismatchError(
-            f"expected {ksys.system.num_blocks} families, got {len(fams.families)}"
-        )
-    rows = []
-    for j, (fam, block) in enumerate(zip(fams.families, ksys.system.blocks)):
+    return KGSystem(_flatten(ksys.system, fams.families), ksys.k)
+
+
+def _flatten(system: GSystem, families) -> GSystem:
+    """The one-row blocks ``f^* L_j``, for each block L_j and each row f of ``families[j]``."""
+    if len(families) != system.num_blocks:
+        raise DimMismatchError(f"expected {system.num_blocks} families, got {len(families)}")
+    rows = [np.zeros((0, system.ambient_dim), dtype=np.complex128)]  # also covers no blocks
+    for j, (fam, block) in enumerate(zip(families, system.blocks)):
         if fam.shape[1] != block.shape[0]:
             raise DimMismatchError(
                 f"family {j} has vectors of length {fam.shape[1]}, block needs {block.shape[0]}"
             )
         rows.append(fam.conj() @ block)
     # every row of the stacked products is a block of its own
-    return KGSystem(GSystem(ksys.ambient_dim, tuple(np.concatenate(rows)[:, np.newaxis])), ksys.k)
+    return GSystem(system.ambient_dim, tuple(np.concatenate(rows)[:, np.newaxis]))
 
 
 @dataclass(frozen=True)

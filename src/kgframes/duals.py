@@ -17,7 +17,9 @@ the factorization of K that yields B: ``approx_defect`` takes two SVD norms
 and ``neumann_reconstruct`` one (the defect); ``perturbed_dual`` one
 (||P G P||). Exactification inverts C by one LU solve unless 1 - defect is
 within the rank cutoff, and the canonical and perturbed duals form no n x n
-operator.
+operator. ``lift_to_vector_frames`` flattens both sides of a pair with the
+rows that ``compose`` builds and takes its restricted defect from
+``approx_defect``, so every function that takes a raw K checks its shape.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .constructions import SubspaceFrameFamily, _complex_gaussian
+from .constructions import SubspaceFrameFamily, _canonical_duals, _complex_gaussian, _flatten
 from .errors import (
     DimMismatchError,
-    NotAFrameError,
     NotApproxDualError,
     NotInRangeError,
     RangeConditionError,
@@ -340,41 +341,17 @@ def lift_to_vector_frames(
     space. The two flattened families have equal mixed operators, so one is
     an approximate dual of the other exactly when the original pair is.
     """
-    _check_same_shape(system, candidate)
-    if len(fams.families) != system.num_blocks:
-        raise DimMismatchError(
-            f"expected {system.num_blocks} families, got {len(fams.families)}"
-        )
-    n = system.ambient_dim
-    vectors_e = []
-    vectors_f = []
-    for j, fam in enumerate(fams.families):
-        d = system.block_dims[j]
-        if fam.shape[1] != d:
-            raise DimMismatchError(
-                f"family {j} has vectors of length {fam.shape[1]}, block needs {d}"
-            )
-        fam_op = SubspaceFrameFamily.frame_operator_of(fam)
-        evals = linops.hermitian_eigvals(fam_op)
-        if not evals.size or evals[0] <= linops.rank_cutoff(evals[-1], d, rank_tol):
-            raise NotAFrameError(f"family {j} does not span its space")
-        duals = np.linalg.solve(fam_op, fam.T).T
-        for vec, dual_vec in zip(fam, duals):
-            vectors_e.append(candidate.blocks[j].conj().T @ vec)
-            vectors_f.append(system.blocks[j].conj().T @ dual_vec)
-
-    e_mat = np.column_stack(vectors_e) if vectors_e else np.zeros((n, 0), dtype=np.complex128)
-    f_mat = np.column_stack(vectors_f) if vectors_f else np.zeros((n, 0), dtype=np.complex128)
-    lifted_mixed = e_mat @ f_mat.conj().T
     swapped = mixed_operator(candidate, system)  # sum_j T_j^* L_j
-    eye = np.eye(n, dtype=np.complex128)
-    residual = linops.op_norm(lifted_mixed - swapped)
-    operator_defect = linops.op_norm(eye - swapped)
-    vector_defect = linops.op_norm(eye - lifted_mixed)
+    # row i of a flattened system is f_i^* T_j, so its conjugate is T_j^* f_i
+    lifted_e = _flatten(candidate, fams.families)
+    lifted_f = _flatten(system, _canonical_duals(fams.families, rank_tol))
+    lifted_mixed = mixed_operator(lifted_e, lifted_f)
+    eye = np.eye(system.ambient_dim, dtype=np.complex128)
     restricted: float | None = None
     if k is not None:
-        b = _k_range(k, rank_tol)
-        restricted = linops.op_norm(np.eye(b.shape[1]) - b.conj().T @ swapped @ b)  # ||P (I - M') P||
+        restricted = approx_defect(system, candidate, k, rank_tol=rank_tol).interchange_defect
     return LiftResult(
-        tuple(vectors_e), tuple(vectors_f), residual, operator_defect, vector_defect, restricted
+        tuple(lifted_e.matrix.conj()), tuple(lifted_f.matrix.conj()),
+        linops.op_norm(lifted_mixed - swapped), linops.op_norm(eye - swapped),
+        linops.op_norm(eye - lifted_mixed), restricted,
     )

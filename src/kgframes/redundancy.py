@@ -232,7 +232,8 @@ def erasure_invertibility(
     """Survival via invertibility of T = I - S^{-1} S_I.
 
     Requires the full frame operator S to be invertible. When T has full
-    rank at ``rank_tol`` the reduced family keeps a positive lower bound
+    rank at ``rank_tol``, on the scale of I (the cut is relative to
+    max(||T||, 1)), the reduced family keeps a positive lower bound
     relative to K; the guaranteed value follows the derivation that keeps
     K^* inside the norm, ``A / ||K^* T^{-1}||^2``, with A the largest
     constant serving simultaneously as a lower g-frame bound and a lower
@@ -253,7 +254,9 @@ def erasure_invertibility(
     # S^{-1} S_I through the eigenpairs S = V diag(w) V^*
     v = spec.s_evecs
     t = np.eye(n, dtype=np.complex128) - (v / spec.s_evals) @ (v.conj().T @ s_removed)
-    survives = linops.numerical_rank(t, rank_tol) == n
+    # T's eigenvalues lie in [0, 1] (0 <= S_I <= S): cut on the scale of I, not of rounding noise
+    sv = linops.svd_values(t)
+    survives = bool(sv[-1] > linops.rank_cutoff(max(float(sv[0]), 1.0), n, rank_tol))
 
     predicted = None
     stated = None

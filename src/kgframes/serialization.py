@@ -312,7 +312,11 @@ def save_frame_family(fams: SubspaceFrameFamily, path) -> None:
 
 
 def load_frame_family(path) -> SubspaceFrameFamily:
-    """Read a frame-family file; vectors are rows of each family matrix."""
+    """Read a frame-family file; vectors are rows of each family matrix.
+
+    Spanning is checked at machine precision, the loosest cut any tolerance
+    gives; ``lift_to_vector_frames`` judges it again at its own tolerance.
+    """
     doc = _read_json(path)
     if doc.get("version") != FRAMES_SCHEMA_VERSION:
         raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
@@ -320,7 +324,7 @@ def load_frame_family(path) -> SubspaceFrameFamily:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: families must be a list")
     mats = [matrix_from_json(f, f"{path}: family {j}") for j, f in enumerate(raw)]
-    return SubspaceFrameFamily.from_vectors(mats)
+    return SubspaceFrameFamily.from_vectors(mats, tol=0.0)
 
 
 def file_digest(path) -> str:

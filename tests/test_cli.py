@@ -12,6 +12,7 @@ import pytest
 from kgframes import (
     GSystem,
     KGSystem,
+    SubspaceFrameFamily,
     canonical_kg_dual,
     corner_projection_system,
     load_system,
@@ -19,6 +20,7 @@ from kgframes import (
     optimal_bounds,
     perturbed_dual,
     random_frame_family,
+    random_kg_system,
     save_frame_family,
     save_system,
     save_vector,
@@ -195,6 +197,43 @@ def test_lift_command(tmp_path, capsys):
     assert payload["residual"] <= 1e-9
     assert payload["restricted_defect"] <= 1e-8
     assert len(payload["vectors_e"]) == len(payload["vectors_f"])
+
+
+def _ill_conditioned_lift_inputs(tmp_path):
+    """A system, its canonical dual, and families whose first member is
+    diag(1, 1e-6): its frame operator has eigenvalue ratio 1e-12."""
+    ksys = random_kg_system(6, (2, 2, 2), 3, seed=4)
+    paths = tuple(tmp_path / name for name in ("sys.json", "dual.json", "fams.json"))
+    save_system(ksys, paths[0])
+    save_system(KGSystem(canonical_kg_dual(ksys), ksys.k), paths[1])
+    families = random_frame_family(ksys.system.block_dims, seed=4).families
+    save_frame_family(SubspaceFrameFamily((np.diag([1.0, 1e-6]), *families[1:]), 1e-12, 1.0), paths[2])
+    return paths
+
+
+def test_lift_judges_frame_families_at_the_rank_tolerance(tmp_path, capsys):
+    sys_path, dual_path, fam_path = _ill_conditioned_lift_inputs(tmp_path)
+    lift = ("lift", str(sys_path), str(dual_path), "--frames", str(fam_path))
+    code, out, _ = run_cli(capsys, *lift, "--tol-rank", "1e-14")
+    assert code == 0
+    assert read_report(out)["payload"]["residual"] <= 1e-9
+    code, _, err = run_cli(capsys, *lift)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "NotAFrameError"
+
+
+def test_erase_invert_removing_every_block_does_not_survive(tmp_path, capsys):
+    # T = I - S^{-1} S is rounding noise: judged on the scale of I, not on its own
+    path = tmp_path / "sys.json"
+    run_cli(capsys, "gen", "random", "--n", "12", "--dims", "3,3,3,3,3",
+            "--rank-k", "5", "--seed", "1", "-o", str(path))
+    code, out, _ = run_cli(capsys, "erase", str(path), "--indices", "0", "1", "2", "3", "4",
+                           "--criterion", "invert")
+    assert code == 0
+    payload = read_report(out)["payload"]
+    assert payload["survives"] is False
+    assert payload["predicted_lower_bound"] is None
+    assert payload["actual_lower_bound"] is None
 
 
 def test_erase_single_and_search(tmp_path, capsys):

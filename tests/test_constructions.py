@@ -179,6 +179,14 @@ def test_compose_validates_shapes():
     del good
 
 
+def test_compose_of_a_system_without_blocks_is_empty():
+    k = np.eye(3)
+    composed = compose(KGSystem(GSystem(3, ()), k), SubspaceFrameFamily((), 1.0, 1.0))
+    assert composed.system.num_blocks == 0
+    assert composed.system.matrix.shape == (0, 3)
+    assert np.array_equal(composed.k, k)
+
+
 def test_compose_with_orthonormal_bases_preserves_frame_operator():
     ksys = random_instance(52)
     fams = SubspaceFrameFamily.from_vectors(

@@ -17,6 +17,7 @@ from kgframes import (
     TrivialRangeError,
     approx_defect,
     canonical_kg_dual,
+    compose,
     corner_projection_system,
     exactify_dual,
     frame_operator,
@@ -347,6 +348,11 @@ def test_canonical_dual_bessel_bound_from_factorization():
         assert dual_bessel <= cap + 1e-9
 
 
+def _assert_rows_close(vectors, want: np.ndarray, rtol: float):
+    got = np.array(vectors).reshape(want.shape)
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
 def test_lift_flattens_to_equal_mixed_operators():
     for seed in range(10):
         ksys = random_instance(seed + 300)
@@ -358,6 +364,31 @@ def test_lift_flattens_to_equal_mixed_operators():
         assert abs(lift.operator_defect - lift.vector_defect) <= 1e-9
         assert len(lift.vectors_e) == len(lift.vectors_f)
         assert len(lift.vectors_e) == sum(f.shape[0] for f in fams.families)
+
+        # T_j^* f and L_j^* f~ are the conjugated rows f^* T_j and f~^* L_j of
+        # the composed systems, f~ = S_j^{-1} f the canonical dual in each space
+        canonical = tuple(f @ np.linalg.inv(f.T @ f.conj()).T for f in fams.families)
+        dual_fams = SubspaceFrameFamily(canonical, 1.0 / fams.upper, 1.0 / fams.lower)
+        _assert_rows_close(lift.vectors_e, compose(KGSystem(dual, ksys.k), fams).system.matrix.conj(), 1e-15)
+        _assert_rows_close(lift.vectors_f, compose(ksys, dual_fams).system.matrix.conj(), 1e-15)
+        interchange = approx_defect(ksys.system, dual, ksys.k).interchange_defect
+        assert abs(lift.restricted_defect - interchange) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (6, 5)])
+def test_lift_rejects_a_k_of_the_wrong_shape(shape):
+    ksys = random_kg_system(6, (2, 2, 2), 3, seed=8)
+    fams = random_frame_family(ksys.system.block_dims, seed=8)
+    with pytest.raises(DimMismatchError):
+        lift_to_vector_frames(ksys.system, ksys.system, fams, k=np.eye(6)[: shape[0], : shape[1]])
+
+
+def test_lift_of_a_system_without_blocks_is_empty():
+    system = GSystem(3, ())
+    lift = lift_to_vector_frames(system, system, SubspaceFrameFamily((), 1.0, 1.0), k=np.eye(3))
+    assert lift.vectors_e == lift.vectors_f == ()
+    assert lift.residual == 0.0
+    assert lift.operator_defect == lift.vector_defect == lift.restricted_defect == 1.0
 
 
 def test_lift_with_orthonormal_families_reproduces_block_rows():

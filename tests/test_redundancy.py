@@ -469,3 +469,27 @@ def _erasure_instances(draw):
 def test_erasure_search_equals_the_reduced_system_reference_property(instance):
     ksys, max_remove, rank_tol = instance
     _assert_equals_reference(ksys, brute_force_erasure_search(ksys, max_remove, rank_tol), rank_tol)
+
+
+@st.composite
+def _g_frame_instances(draw):
+    """Random K-g-systems with n <= 7 and at least n rows, so S is invertible."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    n = draw(st.integers(1, min(7, sum(dims))))
+    rank_k = draw(st.integers(1, n))
+    return random_kg_system(n, dims, rank_k, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_g_frame_instances())
+def test_invertibility_never_claims_more_than_brute_force_property(ksys):
+    # every removal, all blocks included, where T = I - S^{-1} S is rounding noise
+    m = ksys.system.num_blocks
+    for removal in itertools.chain.from_iterable(
+        itertools.combinations(range(m), r) for r in range(m + 1)
+    ):
+        rep = erasure_invertibility(ksys, removal)
+        if rep.survives:
+            truth = erasure_brute_report(ksys, removal)
+            assert truth.survives, removal
+            assert rep.predicted_lower_bound <= truth.actual_lower_bound * (1.0 + 1e-9), removal

@@ -21,8 +21,10 @@ from kgframes import (
     KGSystem,
     RangeConditionError,
     approx_defect,
+    brute_force_erasure_search,
     canonical_kg_dual,
     classify,
+    corner_projection_system,
     exactify_dual,
     lift_to_vector_frames,
     neumann_reconstruct,
@@ -34,6 +36,7 @@ from kgframes import (
     range_condition_holds,
     truncated_neumann_dual,
 )
+from kgframes.duals import DUAL_EXACT_TOL
 
 from oracles import (
     bisect_kg_lower_bound,
@@ -72,6 +75,8 @@ def _instance(kind: str, seed: int) -> KGSystem:
         return random_instance(seed)
     if kind == "deficient":
         return _deficient_instance(seed)
+    if kind == "corner":
+        return corner_projection_system(3 * (2 + seed % 4))
     return overlap_chain_system(3 + seed % 8)
 
 
@@ -195,6 +200,37 @@ def test_bounds_and_verdicts_invariant_under_coefficient_unitaries(kind, seed):
     turned = KGSystem(GSystem(ksys.ambient_dim, tuple(rotated)), ksys.k)
     _assert_bounds_scaled(optimal_bounds(turned), optimal_bounds(ksys), 1.0, 1.0)
     assert classify(turned).label is classify(ksys).label
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["random", "deficient", "chain", "corner"]), seed=seeds)
+def test_bounds_verdicts_and_dual_invariant_under_an_ambient_unitary(kind, seed):
+    # L_j -> L_j V and K -> V^* K V turn S into V^* S V and the canonical dual
+    # T_j into T_j V, so no bound, verdict or erasure survival changes
+    ksys = _instance(kind, seed)
+    n = ksys.ambient_dim
+    v, _ = np.linalg.qr(complex_gaussian(np.random.default_rng(seed), (n, n)))
+    turned = KGSystem(ksys.system.with_matrix(ksys.system.matrix @ v), v.conj().T @ ksys.k @ v)
+    assert classify(turned).label is classify(ksys).label
+    base, rep = optimal_bounds(ksys), optimal_bounds(turned)
+    assert rep.tight_kg == base.tight_kg
+    for name in ("bessel_upper_opt", "g_lower_opt", "kg_lower_opt", "tightness_constant"):
+        want, got = getattr(base, name), getattr(rep, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            # g_lower_opt of a singular S is rounding noise on the scale of S
+            scale = base.bessel_upper_opt if name == "g_lower_opt" else want
+            assert abs(got - want) <= 1e-10 * scale, name
+    max_remove = min(2, ksys.system.num_blocks)
+    assert ([r.survives for r in brute_force_erasure_search(turned, max_remove)]
+            == [r.survives for r in brute_force_erasure_search(ksys, max_remove)])
+    if base.kg_lower_opt is None:
+        return
+    dual = canonical_kg_dual(ksys)
+    image = dual.with_matrix(dual.matrix @ v)
+    assert approx_defect(turned.system, image, turned.k).defect <= DUAL_EXACT_TOL
+    got = canonical_kg_dual(turned).matrix
+    assert np.linalg.norm(got - image.matrix) <= 1e-10 * np.linalg.norm(image.matrix)
 
 
 @PROPERTY
