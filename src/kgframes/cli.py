@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 when a mathematical precondition fails
 (ComputationError), 2 on malformed input (InputError or bad arguments).
 Reports go to stdout; commands that produce a system write it to ``-o``
 and report-only commands accept ``-o`` to redirect the report instead.
+
+Each command is declared once, in ``_COMMANDS``, and each input file kind
+in ``_INPUTS``; ``build_parser``, ``_run`` and ``main`` all read these two
+tables, and only the options of a single command are added by hand.
 """
 
 from __future__ import annotations
@@ -19,85 +23,17 @@ from .errors import ComputationError, InputError
 from .linops import DEFAULT_RANK_TOL
 
 
-# Commands whose -o names the system file they write; the others print their
-# report, or write it to -o when given.
-_SYSTEM_WRITERS = {"gen", "dual", "exactify", "neumann-dual"}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kgframes",
-        description="Frame bounds, duals, reconstruction, and erasure analysis "
-        "for operator-valued frame systems.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol-rank",
-        type=float,
-        default=DEFAULT_RANK_TOL,
-        help="relative singular-value cutoff for rank decisions (default %(default)g)",
-    )
-    common.add_argument(
-        "--tol-dual",
-        type=float,
-        default=duals.DUAL_EXACT_TOL,
-        help="defect threshold certifying an exact dual (default %(default)g)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help_text: str, *files: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for f in files:
-            p.add_argument(f)
-        if name in _SYSTEM_WRITERS:
-            p.add_argument("-o", "--output", required=True, help="system file to write")
-        else:
-            p.add_argument("-o", "--output", default=None, help="report file (default stdout)")
-        return p
-
-    p = command("gen", "generate a system file")
-    p.add_argument("kind", choices=["example1", "example2", "random"])
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--dims", type=str, default=None, help="comma-separated block dims (random)")
-    p.add_argument("--rank-k", type=int, default=None, help="rank of K (random)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (random)")
-    command("bounds", "optimal frame constants", "system")
-    command("classify", "frame classification", "system")
-    command("dual", "canonical dual family", "system")
-    command("defect", "duality defect of a candidate", "system", "candidate")
-    command("exactify", "correct an approximate dual", "system", "candidate")
-    p = command("neumann-dual", "truncated series dual", "system", "candidate")
-    p.add_argument("--N", type=int, required=True, dest="num_terms")
-    p = command("reconstruct", "iterative reconstruction", "system", "candidate")
-    p.add_argument("--vec", required=True, dest="vector", help="vector file with the target")
-    p.add_argument("--N", type=int, default=duals.NEUMANN_DEFAULT_STEPS, dest="num_steps")
-    p = command("lift", "lift a dual pair to vector frames", "system", "candidate")
-    p.add_argument("--frames", required=True, help="frame-family file")
-    p = command("erase", "erasure survival analysis", "system")
-    p.add_argument("--indices", type=int, nargs="+", default=None)
-    p.add_argument("--criterion", choices=["norm", "invert", "brute"], required=True)
-    p.add_argument("--max-remove", type=int, default=None,
-                   help="enumerate all removals up to this size (brute only)")
-    return parser
-
-
-def _digest_entry(path: str) -> dict:
-    return {"path": str(path), "sha256": serialization.file_digest(path)}
-
-
 def _gen(args) -> dict:
-    if args.kind == "example1":
-        ksys = constructions.overlap_chain_system(args.n)
-    elif args.kind == "example2":
-        ksys = constructions.corner_projection_system(args.n)
-    else:
+    extra = ()
+    if args.kind == "random":
         if args.dims is None or args.rank_k is None:
             raise InputError("random generation needs --dims and --rank-k")
         try:
             dims = [int(d) for d in args.dims.split(",") if d != ""]
         except ValueError:
             raise InputError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
-        ksys = constructions.random_kg_system(args.n, dims, args.rank_k, args.seed)
+        extra = (dims, args.rank_k, args.seed)
+    ksys = getattr(constructions, _GENERATORS[args.kind])(args.n, *extra)
     serialization.save_system(ksys, args.output)
     return {
         "kind": "generate",
@@ -202,36 +138,81 @@ def _erase(args, ksys) -> dict:
             "max_remove": args.max_remove,
             "reports": [asdict(r) for r in reports],
         }
-    criterion = {
-        "norm": redundancy.erasure_norm_count,
-        "invert": redundancy.erasure_invertibility,
-        "brute": redundancy.erasure_brute_report,
-    }[args.criterion]
+    criterion = getattr(redundancy, _CRITERIA[args.criterion])
     return {"kind": "erase", **asdict(criterion(ksys, args.indices, args.tol_rank))}
 
 
-# Each command's handler and the input files it reads, in the order they are
-# loaded; the handler receives the loaded inputs after the parsed arguments.
+# Library functions are named in the tables below and looked up on their module
+# at call time, so that a wrapper installed on a module after import sees them.
+_GENERATORS = {"example1": "overlap_chain_system", "example2": "corner_projection_system",
+               "random": "random_kg_system"}
+_CRITERIA = {"norm": "erasure_norm_count", "invert": "erasure_invertibility",
+             "brute": "erasure_brute_report"}
+# Each command: its help text, its handler, the inputs it reads in the order
+# they are loaded (the handler receives them after the parsed arguments), and
+# whether -o names the system file it writes; otherwise -o redirects the report.
 _COMMANDS = {
-    "gen": (_gen, ()),
-    "bounds": (_bounds, ("system",)),
-    "classify": (_classify, ("system",)),
-    "dual": (_dual, ("system",)),
-    "defect": (_defect, ("system", "candidate")),
-    "exactify": (_exactify, ("system", "candidate")),
-    "neumann-dual": (_neumann_dual, ("system", "candidate")),
-    "reconstruct": (_reconstruct, ("system", "candidate", "vector")),
-    "lift": (_lift, ("system", "candidate", "frames")),
-    "erase": (_erase, ("system",)),
+    "gen": ("generate a system file", _gen, (), True),
+    "bounds": ("optimal frame constants", _bounds, ("system",), False),
+    "classify": ("frame classification", _classify, ("system",), False),
+    "dual": ("canonical dual family", _dual, ("system",), True),
+    "defect": ("duality defect of a candidate", _defect, ("system", "candidate"), False),
+    "exactify": ("correct an approximate dual", _exactify, ("system", "candidate"), True),
+    "neumann-dual": ("truncated series dual", _neumann_dual, ("system", "candidate"), True),
+    "reconstruct": ("iterative reconstruction", _reconstruct,
+                    ("system", "candidate", "vector"), False),
+    "lift": ("lift a dual pair to vector frames", _lift, ("system", "candidate", "frames"), False),
+    "erase": ("erasure survival analysis", _erase, ("system",), False),
 }
-# Loader names, looked up on ``serialization`` at call time so that a wrapper
-# installed on the module after import sees every load.
-_LOADERS = {
-    "system": "load_system",
-    "candidate": "load_system",
-    "vector": "load_vector",
-    "frames": "load_frame_family",
+# Each input: its loader on ``serialization`` and, for an input passed by a
+# required option rather than by position, the option's flag and help text.
+_INPUTS = {
+    "system": ("load_system", None),
+    "candidate": ("load_system", None),
+    "vector": ("load_vector", ("--vec", "vector file with the target")),
+    "frames": ("load_frame_family", ("--frames", "frame-family file")),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kgframes",
+        description="Frame bounds, duals, reconstruction, and erasure analysis "
+        "for operator-valued frame systems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, (help_text, _, inputs, writes_system) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
+                       help="relative singular-value cutoff for rank decisions (default %(default)g)")
+        p.add_argument("--tol-dual", type=float, default=duals.DUAL_EXACT_TOL,
+                       help="defect threshold certifying an exact dual (default %(default)g)")
+        o_help = "system file to write" if writes_system else "report file (default stdout)"
+        p.add_argument("-o", "--output", required=writes_system, help=o_help)
+        # usage and help list options and positionals apart, each group in order
+        for key in inputs:
+            option = _INPUTS[key][1]
+            if option is None:
+                p.add_argument(key)
+            else:
+                p.add_argument(option[0], required=True, dest=key, help=option[1])
+
+    p = parsers["gen"]
+    p.add_argument("kind", choices=list(_GENERATORS))
+    p.add_argument("--n", type=int, required=True, help="ambient dimension")
+    p.add_argument("--dims", type=str, default=None, help="comma-separated block dims (random)")
+    p.add_argument("--rank-k", type=int, default=None, help="rank of K (random)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (random)")
+    parsers["neumann-dual"].add_argument("--N", type=int, required=True, dest="num_terms")
+    parsers["reconstruct"].add_argument(
+        "--N", type=int, default=duals.NEUMANN_DEFAULT_STEPS, dest="num_steps")
+    p = parsers["erase"]
+    p.add_argument("--indices", type=int, nargs="+", default=None)
+    p.add_argument("--criterion", choices=list(_CRITERIA), required=True)
+    p.add_argument("--max-remove", type=int, default=None,
+                   help="enumerate all removals up to this size (brute only)")
+    return parser
 
 
 def _check_arguments(args: argparse.Namespace) -> None:
@@ -240,11 +221,9 @@ def _check_arguments(args: argparse.Namespace) -> None:
         raise InputError(f"--tol-rank must be finite and positive, got {args.tol_rank}")
     if not (math.isfinite(args.tol_dual) and args.tol_dual >= 0.0):
         raise InputError(f"--tol-dual must be finite and non-negative, got {args.tol_dual}")
-    for dest in ("num_terms", "num_steps"):
+    for dest, flag in (("num_terms", "--N"), ("num_steps", "--N"), ("seed", "--seed")):
         if getattr(args, dest, 0) < 0:
-            raise InputError(f"--N must be non-negative, got {getattr(args, dest)}")
-    if getattr(args, "seed", 0) < 0:
-        raise InputError(f"--seed must be non-negative, got {args.seed}")
+            raise InputError(f"{flag} must be non-negative, got {getattr(args, dest)}")
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -255,9 +234,11 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict]:
     that of the file read even when the handler writes over it.
     """
     _check_arguments(args)
-    handler, inputs = _COMMANDS[args.command]
-    loaded = [getattr(serialization, _LOADERS[key])(getattr(args, key)) for key in inputs]
-    digests = {key: _digest_entry(getattr(args, key)) for key in inputs}
+    _, handler, inputs, _ = _COMMANDS[args.command]
+    paths = {key: getattr(args, key) for key in inputs}
+    loaded = [getattr(serialization, _INPUTS[key][0])(path) for key, path in paths.items()]
+    digests = {key: {"path": str(path), "sha256": serialization.file_digest(path)}
+               for key, path in paths.items()}
     return handler(args, *loaded), digests
 
 
@@ -281,8 +262,7 @@ def _join_negative_dims(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_dims(argv))
+    args = build_parser().parse_args(_join_negative_dims(argv))
     started = time.perf_counter()
     try:
         payload, inputs = _run(args)
@@ -294,27 +274,19 @@ def main(argv=None) -> int:
             "payload": payload,
             "wall_time_s": time.perf_counter() - started,
         }
-        output = getattr(args, "output", None)
-        if output is not None and args.command not in _SYSTEM_WRITERS:
-            serialization._write_json(report, output)
+        *_, writes_system = _COMMANDS[args.command]
+        if args.output is not None and not writes_system:
+            serialization._write_json(report, args.output)
         else:
             serialization._dump_json(report, sys.stdout)
-    except InputError as exc:
-        _emit_error(argv, exc)
-        return 2
-    except ComputationError as exc:
-        _emit_error(argv, exc)
-        return 1
+    except (InputError, ComputationError) as exc:
+        serialization._dump_json({
+            "version": serialization.REPORT_SCHEMA_VERSION,
+            "command": argv,
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }, sys.stderr)
+        return 2 if isinstance(exc, InputError) else 1
     return 0
-
-
-def _emit_error(argv: list[str], exc: Exception) -> None:
-    doc = {
-        "version": serialization.REPORT_SCHEMA_VERSION,
-        "command": argv,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    serialization._dump_json(doc, sys.stderr)
 
 
 if __name__ == "__main__":

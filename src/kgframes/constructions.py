@@ -21,6 +21,10 @@ from .gsystem import GSystem, KGSystem, classify, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
 
 _MAX_GENERATION_ATTEMPTS = 10
+# Relative tolerance of every test in tight_relation_check.
+TIGHT_RELATION_RTOL = 1e-9
+# random_frame_family draws this many vectors per dimension of each space.
+FRAME_OVERSAMPLE = 2
 
 
 def overlap_chain_system(n: int) -> KGSystem:
@@ -189,11 +193,11 @@ def _canonical_duals(families, tol: float) -> tuple[np.ndarray, ...]:
     return tuple(np.linalg.solve(fam_op, fam.T).T for fam_op, fam in zip(ops, families))
 
 
-def random_frame_family(block_dims, seed: int, oversample: int = 2) -> SubspaceFrameFamily:
+def random_frame_family(block_dims, seed: int) -> SubspaceFrameFamily:
     """Random spanning vector family for each coefficient space."""
     rng = np.random.default_rng(seed)
     families = [
-        _complex_gaussian(rng, (max(oversample * d, d + 1), d)) for d in block_dims
+        _complex_gaussian(rng, (max(FRAME_OVERSAMPLE * d, d + 1), d)) for d in block_dims
     ]
     return SubspaceFrameFamily.from_vectors(families)
 
@@ -246,7 +250,7 @@ class TightRelationReport:
     iff_consistent: bool
 
 
-def tight_relation_check(ksys: KGSystem, tol: float = 1e-9) -> TightRelationReport:
+def tight_relation_check(ksys: KGSystem) -> TightRelationReport:
     """Evaluate, for a tight K-g-frame, the equivalence with tight g-frames."""
     classes = classify(ksys)
     report = classes.bounds
@@ -262,19 +266,19 @@ def tight_relation_check(ksys: KGSystem, tol: float = 1e-9) -> TightRelationRepo
     kk_evals = ksys.spectrum.k_svals**2
     kk_norm = float(kk_evals[0])
     c = float(kk_evals.sum()) / n
-    kk_is_scalar = bool(np.abs(kk_evals - c).max() <= tol * kk_norm)
+    kk_is_scalar = bool(np.abs(kk_evals - c).max() <= TIGHT_RELATION_RTOL * kk_norm)
     kk_scalar = c if kk_is_scalar else None
 
     ratio_dev: float | None = None
     forward_ok = True
     if is_tight_g and a2 is not None:
         ratio_dev = float(np.abs(kk_evals - a2 / a1).max())
-        forward_ok = ratio_dev <= tol * max(a2 / a1, kk_norm)
+        forward_ok = ratio_dev <= TIGHT_RELATION_RTOL * max(a2 / a1, kk_norm)
 
     # converse: a scalar K K^* forces S = (c * a1) I, i.e. g-tightness
     converse_ok = True
     if kk_is_scalar:
-        converse_ok = is_tight_g and a2 is not None and abs(a2 - c * a1) <= tol * a2
+        converse_ok = is_tight_g and a2 is not None and abs(a2 - c * a1) <= TIGHT_RELATION_RTOL * a2
 
     consistent = bool((is_tight_g == kk_is_scalar) and forward_ok and converse_ok)
     return TightRelationReport(a1, is_tight_g, a2, ratio_dev, kk_scalar, consistent)

@@ -18,8 +18,8 @@ and ``neumann_reconstruct`` one (the defect); ``perturbed_dual`` one
 (||P G P||). Exactification inverts C by one LU solve unless 1 - defect is
 within the rank cutoff, and the canonical and perturbed duals form no n x n
 operator. ``lift_to_vector_frames`` flattens both sides of a pair with the
-rows that ``compose`` builds and takes its restricted defect from
-``approx_defect``, so every function that takes a raw K checks its shape.
+rows that ``compose`` builds and takes three norms, and with K a fourth,
+||I_r - C||, not the defect. Each function that takes a raw K checks its shape.
 """
 
 from __future__ import annotations
@@ -146,13 +146,13 @@ def _canonical_factors(ksys: KGSystem, rank_tol: float) -> tuple[np.ndarray, np.
     return ksys.system.matrix @ left, b
 
 
-def _certify(system: GSystem, candidate: GSystem, k, rank_tol: float):
-    """The defect of a candidate, the range basis B of K, T B and C = B^* M B.
+def _compress(system: GSystem, candidate: GSystem, k, rank_tol: float):
+    """The range basis B of K, T B, M B and the compression C = B^* M B.
 
-    The defect is a norm on range(K) only: ||(I - M) P|| = ||B - M B||. B
-    comes from the cached spectrum of the system that owns ``k``, if any,
-    and M B = L^* (T B) is formed as conj(L^T conj(T B)), so neither M nor
-    a conjugated copy of L exists.
+    B comes from the cached spectrum of the system that owns ``k``, if any,
+    and M B = L^* (T B) is formed as conj(L^T conj(T B)), so neither M nor a
+    conjugated copy of L exists. The callers that use the defect take it as
+    ||(I - M) P|| = ||B - M B||, a norm on range(K) only.
     """
     _check_same_shape(system, candidate)
     k_op = linops.as_operator(k)
@@ -162,11 +162,12 @@ def _certify(system: GSystem, candidate: GSystem, k, rank_tol: float):
     b = _k_range(k_op, rank_tol)
     tb = candidate.matrix @ b
     mb = (system.matrix.T @ tb.conj()).conj()
-    return linops.op_norm(b - mb), b, tb, b.conj().T @ mb
+    return b, tb, mb, b.conj().T @ mb
 
 
 def _require_approx_dual(system: GSystem, candidate: GSystem, k, rank_tol: float):
-    defect, b, tb, c = _certify(system, candidate, k, rank_tol)
+    b, tb, mb, c = _compress(system, candidate, k, rank_tol)
+    defect = linops.op_norm(b - mb)
     if not defect < 1.0:
         raise NotApproxDualError(f"defect {defect:.6g} is not below 1")
     return defect, b, tb, c
@@ -180,7 +181,8 @@ def approx_defect(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> DualCertificate:
     """Measure both duality defects of a candidate family relative to K."""
-    defect, _, _, c = _certify(system, candidate, k, rank_tol)
+    b, _, mb, c = _compress(system, candidate, k, rank_tol)
+    defect = linops.op_norm(b - mb)
     interchange = linops.op_norm(np.eye(c.shape[0]) - c)  # ||P (I - M^*) P||
     return DualCertificate(defect, defect <= exact_tol, defect < 1.0, interchange)
 
@@ -349,7 +351,8 @@ def lift_to_vector_frames(
     eye = np.eye(system.ambient_dim, dtype=np.complex128)
     restricted: float | None = None
     if k is not None:
-        restricted = approx_defect(system, candidate, k, rank_tol=rank_tol).interchange_defect
+        *_, c = _compress(system, candidate, k, rank_tol)
+        restricted = linops.op_norm(np.eye(c.shape[0]) - c)  # as approx_defect's interchange
     return LiftResult(
         tuple(lifted_e.matrix.conj()), tuple(lifted_f.matrix.conj()),
         linops.op_norm(lifted_mixed - swapped), linops.op_norm(eye - swapped),

@@ -7,12 +7,16 @@ written by one private writer whose bytes are those of
 pairs of each finite matrix straight from the array, with one join over
 ``float.__repr__``: the shortest text that parses back to the same double,
 so save/load is bit-exact. Every other value is written by ``json`` itself.
+A file is written beside its target and then renamed onto it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import stat
 from itertools import chain
 from pathlib import Path
 
@@ -101,20 +105,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {**doc, "entries": complex_pairs(doc["entries"])}
 
 
-def _pairs_array(entries: list, count: int) -> np.ndarray | None:
-    """All entries at once, or None when some entry is not a finite [re, im] pair.
-
-    The type scan comes first: numpy would convert "1.0" and True silently.
-    """
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
-            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
-        return None
-    try:
-        flat = np.fromiter(chain.from_iterable(entries), dtype=np.float64, count=2 * count)
-    except OverflowError:
-        return None
-    ok = np.all(np.isfinite(flat))
-    return flat.view(np.complex128) if ok else None
+def _is_number_type(t: type) -> bool:  # np.float64 is a float; bool is not a number
+    return issubclass(t, (int, float)) and t is not bool
 
 
 def _integer(value) -> int:
@@ -138,21 +130,24 @@ def matrix_from_json(obj, where: str) -> np.ndarray:
         raise ParseError(f"{where}: negative dimensions")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ParseError(f"{where}: expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}")
-    flat = _pairs_array(entries, rows * cols)
-    if flat is None:
-        # names the first bad entry
-        flat = np.empty(rows * cols, dtype=np.complex128)
-        for i, pair in enumerate(entries):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
-                raise ParseError(f"{where}: entry {i} is not a [re, im] pair")
-            try:
-                flat[i] = complex(pair[0], pair[1])
-            except OverflowError:
-                raise ParseError(f"{where}: non-finite entry") from None
-        if rows * cols and not np.all(np.isfinite(flat)):
-            raise ParseError(f"{where}: non-finite entry")
-    return flat.reshape(rows, cols)
+    # All entries at once when each is a finite [re, im] pair. The type scan
+    # comes first: numpy would convert "1.0" and True silently.
+    if (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+            and all(map(_is_number_type, set(map(type, chain.from_iterable(entries)))))):
+        with contextlib.suppress(OverflowError):
+            flat = np.fromiter(chain.from_iterable(entries), np.float64, 2 * len(entries))
+            if np.all(np.isfinite(flat)):
+                return flat.view(np.complex128).reshape(rows, cols)
+    # name the first malformed entry, unless an integer too large for a double comes first
+    for i, pair in enumerate(entries):
+        if (type(pair) is not list or len(pair) != 2
+                or not all(map(_is_number_type, map(type, pair)))):
+            raise ParseError(f"{where}: entry {i} is not a [re, im] pair")
+        try:
+            complex(*pair)
+        except OverflowError:
+            break
+    raise ParseError(f"{where}: non-finite entry")
 
 
 def _pairs_chunks(a: np.ndarray, depth: int):
@@ -213,14 +208,38 @@ def _dump_json(doc, fh) -> None:
 
 
 def _write_json(doc: dict, path) -> None:
+    """Write ``doc`` to ``path`` by way of a new file beside it that then
+    replaces it: on any exception the old file keeps its bytes and the new
+    one is removed. Anything but a regular file or a new path (a symlink,
+    ``/dev/stdout``, a pipe) is written through as ``open(path, "w")`` writes
+    it; permissions and error text are as ``open``'s too."""
+    tmp = None
     try:
-        with open(path, "w") as fh:
+        st = os.lstat(path) if os.path.lexists(path) else None
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            with open(path, "w") as fh:
+                _dump_json(doc, fh)
+            return
+        if st is not None:
+            os.close(os.open(path, os.O_WRONLY))  # fail where open(path, "w") fails
+        name = f"{path}.{os.urandom(6).hex()}.tmp"
+        with open(name, "x") as fh:  # mode 0o666 less the umask, as open(path, "w")
+            tmp = name
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))  # the mode open() keeps
             _dump_json(doc, fh)
+        os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        reason = OSError(exc.errno, exc.strerror, os.fspath(path)) if exc.filename else exc
+        raise InputError(f"cannot write {path}: {reason}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
-def _read_json(path) -> dict:
+def _read_json(path, version: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -235,6 +254,8 @@ def _read_json(path) -> dict:
         raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
+    if doc.get("version") != version:
+        raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
     return doc
 
 
@@ -251,10 +272,7 @@ def save_system(ksys: KGSystem, path) -> None:
 
 def load_system(path) -> KGSystem:
     """Read a SystemFile; an absent K field means K is the identity."""
-    doc = _read_json(path)
-    version = doc.get("version")
-    if version != SYSTEM_SCHEMA_VERSION:
-        raise ParseError(f"{path}: unsupported version {version!r}")
+    doc = _read_json(path, SYSTEM_SCHEMA_VERSION)
     if doc.get("field") != "complex":
         raise ParseError(f"{path}: field must be 'complex'")
     try:
@@ -292,9 +310,7 @@ def save_vector(v: np.ndarray, path) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    doc = _read_json(path)
-    if doc.get("version") != VECTOR_SCHEMA_VERSION:
-        raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
+    doc = _read_json(path, VECTOR_SCHEMA_VERSION)
     try:
         dim = _integer(doc["dim"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -317,9 +333,7 @@ def load_frame_family(path) -> SubspaceFrameFamily:
     Spanning is checked at machine precision, the loosest cut any tolerance
     gives; ``lift_to_vector_frames`` judges it again at its own tolerance.
     """
-    doc = _read_json(path)
-    if doc.get("version") != FRAMES_SCHEMA_VERSION:
-        raise ParseError(f"{path}: unsupported version {doc.get('version')!r}")
+    doc = _read_json(path, FRAMES_SCHEMA_VERSION)
     raw = doc.get("families")
     if not isinstance(raw, list):
         raise ParseError(f"{path}: families must be a list")

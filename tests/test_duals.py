@@ -372,7 +372,7 @@ def test_lift_flattens_to_equal_mixed_operators():
         _assert_rows_close(lift.vectors_e, compose(KGSystem(dual, ksys.k), fams).system.matrix.conj(), 1e-15)
         _assert_rows_close(lift.vectors_f, compose(ksys, dual_fams).system.matrix.conj(), 1e-15)
         interchange = approx_defect(ksys.system, dual, ksys.k).interchange_defect
-        assert abs(lift.restricted_defect - interchange) <= 1e-14
+        assert lift.restricted_defect == interchange  # the same C, the same norm
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (6, 5)])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from kgframes import (
     DimMismatchError,
+    InputError,
     SubspaceFrameFamily,
     KGSystem,
     GSystem,
@@ -27,6 +29,7 @@ from kgframes.serialization import (
     SYSTEM_SCHEMA_VERSION,
     VECTOR_SCHEMA_VERSION,
     _dump_json,
+    _write_json,
     complex_pairs,
     file_digest,
     matrix_from_json,
@@ -66,6 +69,30 @@ def test_matrix_codec_names_the_bad_entry(bad):
 def test_matrix_codec_rejects_overflowing_integers():
     with pytest.raises(ParseError, match="non-finite"):
         matrix_from_json({"rows": 1, "cols": 2, "entries": [[1, 0], [10**400, 0]]}, "m")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[10**308, 0], [1, 2]], None),  # integers up to 1e308 read as doubles
+    ([[10**309, 0], [1, 2]], "non-finite entry"),
+    ([[1, NAN], [1, 2]], "non-finite entry"),
+    ([[np.float64(NAN), 0], [1, 2]], "non-finite entry"),
+    # a NaN before a malformed entry gives way to it; an integer too large
+    # for a double does not
+    ([[NAN, 0], [1, 2], ["x", 0]], "entry 2 is not a"),
+    ([[10**400, 0], [1, 2], ["x", 0]], "non-finite entry"),
+    ([["x", 0], [1, 2], [10**400, 0]], "entry 0 is not a"),
+], ids=["int-1e308", "int-1e309", "nan", "numpy-nan", "nan-then-string", "overflow-then-string",
+        "string-then-overflow"])
+def test_matrix_codec_names_the_first_bad_entry(entries, message):
+    obj = {"rows": 1, "cols": len(entries), "entries": entries}
+    if message is None:
+        assert matrix_from_json(obj, "m")[0, 0] == 1e308
+    else:
+        with pytest.raises(ParseError, match=f"^m: {message}"):
+            matrix_from_json(obj, "m")
 
 
 def test_matrix_codec_accepts_numpy_floats_and_empty_matrices():
@@ -281,6 +308,56 @@ def test_writer_rejects_unknown_types_and_non_string_keys():
     for bad in ({"k": object()}, {"k": [np.int64(1)]}, {1: 0}):
         with pytest.raises(TypeError):
             _dump_json(bad, io.StringIO())
+
+
+def test_failed_write_leaves_the_old_file_and_no_other(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        _write_json({"k": object()}, path)
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_write_keeps_the_permissions_that_open_gives(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    _write_json({"a": 1}, tmp_path / "new.json")
+    assert (tmp_path / "new.json").stat().st_mode == plain.stat().st_mode
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    _write_json({"a": 1}, kept)
+    assert kept.stat().st_mode & 0o777 == 0o640
+    assert kept.read_text() == '{\n "a": 1\n}\n'
+
+
+def test_write_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    _write_json({"a": 1}, link)
+    assert link.is_symlink()
+    assert target.read_text() == '{\n "a": 1\n}\n'
+
+
+def test_write_to_stdout_or_a_device_goes_through_it(capfd):
+    _write_json({"a": 1}, "/dev/stdout")
+    assert capfd.readouterr().out == '{\n "a": 1\n}\n'
+    _write_json({"a": 1}, "/dev/null")
+    assert os.path.exists("/dev/null") and not os.path.isfile("/dev/null")
+
+
+def test_unwritable_targets_name_the_path_as_open_does(tmp_path):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        with pytest.raises(InputError) as exc:
+            _write_json({"a": 1}, path)
+        with pytest.raises(OSError) as opened:
+            open(path, "w")
+        assert str(exc.value) == f"cannot write {path}: {opened.value}"
+    assert not any(tmp_path.iterdir())
 
 
 def test_reader_rejects_text_that_is_not_utf8_or_too_deep(tmp_path):

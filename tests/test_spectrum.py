@@ -344,20 +344,28 @@ def test_duals_on_a_factored_system_take_no_svd_of_k(monkeypatch):
     assert counts["eigh"] == 0
 
 
-@pytest.mark.parametrize("construction, norms", [
-    (lambda ksys, cand, f: approx_defect(ksys.system, cand, ksys.k), 2),
-    (lambda ksys, cand, f: exactify_dual(ksys.system, cand, ksys.k), 1),
-    (lambda ksys, cand, f: truncated_neumann_dual(ksys.system, cand, ksys.k, 4), 1),
-    (lambda ksys, cand, f: neumann_reconstruct(ksys.system, cand, ksys.k, f, num_steps=10), 1),
-], ids=["approx_defect", "exactify_dual", "truncated_neumann_dual", "neumann_reconstruct"])
+@pytest.mark.parametrize("construction, norms, spanning_checks", [
+    (lambda ksys, cand, f, fams: approx_defect(ksys.system, cand, ksys.k), 2, 0),
+    (lambda ksys, cand, f, fams: exactify_dual(ksys.system, cand, ksys.k), 1, 0),
+    (lambda ksys, cand, f, fams: truncated_neumann_dual(ksys.system, cand, ksys.k, 4), 1, 0),
+    (lambda ksys, cand, f, fams: neumann_reconstruct(ksys.system, cand, ksys.k, f, num_steps=10),
+     1, 0),
+    (lambda ksys, cand, f, fams: lift_to_vector_frames(ksys.system, cand, fams, k=ksys.k), 4, 6),
+    (lambda ksys, cand, f, fams: lift_to_vector_frames(ksys.system, cand, fams), 3, 6),
+], ids=["approx_defect", "exactify_dual", "truncated_neumann_dual", "neumann_reconstruct",
+        "lift_with_k", "lift_without_k"])
 def test_each_dual_construction_takes_only_the_norms_its_result_reports(
-        construction, norms, monkeypatch):
-    # approx_defect reports the defect and ||I_r - C||; the others use the
-    # defect only, and no construction takes an SVD with vectors
+        construction, norms, spanning_checks, monkeypatch):
+    # approx_defect reports the defect and ||I_r - C||; exactify_dual and the
+    # Neumann constructions use the defect only; the lift reports its
+    # residual, its two full-space defects and, with K, ||I_r - C|| but not
+    # the defect. No construction takes an SVD with vectors; the lift checks
+    # that each of the six frame families spans its space (one eigvalsh each).
     ksys, candidate, target = _dual_inputs()
+    fams = random_frame_family(ksys.system.block_dims, seed=1)
     counts = _count_decompositions(monkeypatch)
-    construction(ksys, candidate, target)
-    assert counts == {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm2": norms}
+    construction(ksys, candidate, target, fams)
+    assert counts == {"eigh": 0, "eigvalsh": spanning_checks, "svd": 0, "norm2": norms}
 
 
 def test_defect_on_a_fresh_system_factors_only_k(monkeypatch):
