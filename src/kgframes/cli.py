@@ -13,14 +13,13 @@ tables, and only the options of a single command are added by hand.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import asdict
 
 from . import constructions, duals, gsystem, redundancy, serialization
 from .errors import ComputationError, InputError
-from .linops import DEFAULT_RANK_TOL
+from .linops import DEFAULT_RANK_TOL, _checked_tol
 
 
 def _gen(args) -> dict:
@@ -217,10 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_arguments(args: argparse.Namespace) -> None:
     """Reject tolerances and step counts that no computation can use."""
-    if not (math.isfinite(args.tol_rank) and args.tol_rank > 0.0):
-        raise InputError(f"--tol-rank must be finite and positive, got {args.tol_rank}")
-    if not (math.isfinite(args.tol_dual) and args.tol_dual >= 0.0):
-        raise InputError(f"--tol-dual must be finite and non-negative, got {args.tol_dual}")
+    for dest, flag in (("tol_rank", "--tol-rank"), ("tol_dual", "--tol-dual")):
+        try:
+            _checked_tol(getattr(args, dest), flag)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     for dest, flag in (("num_terms", "--N"), ("num_steps", "--N"), ("seed", "--seed")):
         if getattr(args, dest, 0) < 0:
             raise InputError(f"{flag} must be non-negative, got {getattr(args, dest)}")

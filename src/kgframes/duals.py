@@ -180,7 +180,8 @@ def approx_defect(
     exact_tol: float = DUAL_EXACT_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> DualCertificate:
-    """Measure both duality defects of a candidate family relative to K."""
+    """Measure both duality defects relative to K; exact when the defect <= ``exact_tol``."""
+    linops._checked_tol(exact_tol, "exact_tol")
     b, _, mb, c = _compress(system, candidate, k, rank_tol)
     defect = linops.op_norm(b - mb)
     interchange = linops.op_norm(np.eye(c.shape[0]) - c)  # ||P (I - M^*) P||

@@ -64,7 +64,7 @@ class NotAFrameError(ComputationError):
 
 
 class NotUnitNormError(ComputationError):
-    """A block that must have unit operator norm does not."""
+    """A block that must have unit operator norm, or a K that must have norm at most 1, does not."""
 
 
 class KStarNotBoundedBelowError(ComputationError):

@@ -437,10 +437,9 @@ def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationRep
     ``tol`` is the rank tolerance of every decision (see
     :func:`linops.rank_cutoff`): the system is a g-frame when S has full
     rank at it, the same cut that decides range(S) for the bound relative to
-    K, so the label is scale invariant and never rests on rounding noise.
+    K, so the label is scale invariant and never rests on rounding noise;
+    ``tol = 0`` means machine precision, as everywhere in the package.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     report = optimal_bounds(ksys, rank_tol=tol)
     spec = ksys.spectrum
     c = spec.k_lower(tol)

@@ -1,10 +1,10 @@
 """Dense complex operator algebra: adjoints, pseudo-inverses, norms, projectors.
 
-Every function accepts array-likes and works on ``complex128`` matrices.
-Every decision that a singular value or eigenvalue is zero, in this module
-and the rest of the package, is made by :func:`rank_cutoff`, with
-:data:`DEFAULT_RANK_TOL` as the package-wide default tolerance. Inner
-products are linear in the first argument.
+Every function accepts array-likes and works on ``complex128`` matrices; inner
+products are linear in the first argument. Every decision that a singular
+value or eigenvalue is zero, here and in the rest of the package, is made by
+:func:`rank_cutoff` (default tolerance :data:`DEFAULT_RANK_TOL`), and every
+tolerance, the CLI's included, must satisfy ``0 <= tol < inf`` (:func:`_checked_tol`).
 """
 
 from __future__ import annotations
@@ -84,24 +84,23 @@ def rank_cutoff(top: float, dim: int, tol: float) -> float:
     return max(_checked_tol(tol), dim * sys.float_info.epsilon) * top
 
 
-def _checked_tol(tol: float) -> float:
-    """``tol`` itself; raises ``ValueError`` unless ``0 <= tol < inf``.
+def _checked_tol(tol: float, name: str = "rank tolerance") -> float:
+    """``tol`` itself; raises ``ValueError`` naming ``name`` unless ``0 <= tol < inf``.
 
     Called first by the functions that return early on a zero or empty
     matrix, so a bad tolerance raises there too.
     """
     if not 0.0 <= tol < math.inf:
-        raise ValueError(f"rank tolerance must be finite and non-negative, got {tol}")
+        raise ValueError(f"{name} must be finite and non-negative, got {tol}")
     return tol
 
 
 def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
-    return rank_cutoff(float(s[0]), max(shape), tol) if s.size else 0.0
+    return rank_cutoff(float(s[0]) if s.size else 0.0, max(shape), tol)
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above the relative cutoff."""
-    _checked_tol(tol)
     a = as_operator(m)
     s = svd_values(a)
     return int(np.count_nonzero(s > _sv_cutoff(s, a.shape, tol)))
@@ -182,6 +181,7 @@ def psd_sqrt_pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         both relative to the largest entry ``|m|`` of ``m`` itself, so the
         verdict does not change when ``m`` is rescaled.
     """
+    _checked_tol(tol)
     a = as_operator(m)
     if a.shape[0] != a.shape[1]:
         raise NotPSDError(f"matrix is not square: {a.shape}")

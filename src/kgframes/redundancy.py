@@ -32,7 +32,7 @@ from .errors import (
 from .gsystem import RANGE_INCLUSION_RTOL, GSystem, KGSystem, _gram, _kg_lower, optimal_bounds
 from .linops import DEFAULT_RANK_TOL
 
-# Removed blocks must have operator norm 1 within this tolerance.
+# Removed blocks must have operator norm 1, and K at most 1, within this tolerance.
 UNIT_NORM_TOL = 1e-9
 # A reduced system survives brute force when its lower bound A relative to K
 # has A * ||K||^2 > SURVIVAL_TOL * B, B the full system's Bessel bound.
@@ -195,14 +195,16 @@ def erasure_norm_count(
 
     ``C`` is the lower bound of K^* (smallest singular value of K) and A
     the optimal lower bound of the full system relative to K. Every removed
-    block must have unit operator norm. Survival is claimed when
-    ``A * C^2 - |I| > 0``, and that value is the predicted lower bound of
-    the reduced system.
+    block must have unit operator norm, and ||K|| <= 1 so that ||K^* f|| <= ||f||.
+    Survival is claimed when ``A * C^2 - |I| > 0``, and that value is then a
+    lower bound of the reduced system relative to K.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
     c = ksys.spectrum.k_lower(rank_tol)
     if c == 0.0:
         raise KStarNotBoundedBelowError("the adjoint of K is not bounded below")
+    if ksys.spectrum.k_norm > 1.0 + UNIT_NORM_TOL:
+        raise NotUnitNormError(f"K has operator norm {ksys.spectrum.k_norm:.12g}, expected at most 1")
     for j in idx:
         norm_j = linops.op_norm(ksys.system.blocks[j])
         if abs(norm_j - 1.0) > UNIT_NORM_TOL:
@@ -212,17 +214,15 @@ def erasure_norm_count(
         raise NotKGFrameError("system has no positive lower bound relative to K")
     a = full.kg_lower_opt
     margin = a * c * c - len(idx)
-    survives = margin > 0.0
-    predicted = margin if survives else None
-    differs = (len(idx) < a * c) != (len(idx) < a * c * c)
+    survives = margin > 0.0  # |I| < A * C^2
     return ErasureReport(
         removed=idx,
         criterion="normCount",
         survives=survives,
-        predicted_lower_bound=predicted,
+        predicted_lower_bound=margin if survives else None,
         actual_lower_bound=_reduced_kg_lowers(ksys, [idx], rank_tol)[0],
         invertibility_norm=None,
-        count_conditions_differ=differs,
+        count_conditions_differ=(len(idx) < a * c) != survives,
     )
 
 

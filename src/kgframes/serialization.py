@@ -7,7 +7,7 @@ written by one private writer whose bytes are those of
 pairs of each finite matrix straight from the array, with one join over
 ``float.__repr__``: the shortest text that parses back to the same double,
 so save/load is bit-exact. Every other value is written by ``json`` itself.
-A file is written beside its target and then renamed onto it.
+A new file, or a file with one link, is written beside its target and renamed onto it.
 """
 
 from __future__ import annotations
@@ -210,13 +210,13 @@ def _dump_json(doc, fh) -> None:
 def _write_json(doc: dict, path) -> None:
     """Write ``doc`` to ``path`` by way of a new file beside it that then
     replaces it: on any exception the old file keeps its bytes and the new
-    one is removed. Anything but a regular file or a new path (a symlink,
-    ``/dev/stdout``, a pipe) is written through as ``open(path, "w")`` writes
-    it; permissions and error text are as ``open``'s too."""
+    one is removed. Anything but a new path or a regular file with one link
+    (a symlink, a hard link, ``/dev/stdout``, a pipe) is written through as
+    ``open(path, "w")`` writes it; permissions and error text are as ``open``'s too."""
     tmp = None
     try:
         st = os.lstat(path) if os.path.lexists(path) else None
-        if st is not None and not stat.S_ISREG(st.st_mode):
+        if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
             with open(path, "w") as fh:
                 _dump_json(doc, fh)
             return

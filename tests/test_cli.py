@@ -324,7 +324,6 @@ def test_erase_honours_tol_rank(tmp_path, capsys):
     [
         (("bounds", "SYS", "--tol-rank", "nan"), "--tol-rank"),
         (("reconstruct", "SYS", "SYS", "--vec", "VEC", "--tol-rank", "inf"), "--tol-rank"),
-        (("classify", "SYS", "--tol-rank", "0"), "--tol-rank"),
         (("classify", "SYS", "--tol-rank", "-1"), "--tol-rank"),
         (("defect", "SYS", "SYS", "--tol-dual", "nan"), "--tol-dual"),
         (("defect", "SYS", "SYS", "--tol-dual=-1e-9"), "--tol-dual"),
@@ -343,6 +342,18 @@ def test_unusable_tolerances_and_step_counts_are_input_errors(tmp_path, capsys, 
     assert error["type"] == "InputError"
     assert error["message"].startswith(flag)
     assert not (tmp_path / "out.json").exists()
+
+
+def test_zero_rank_tolerance_means_machine_precision(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    run_cli(capsys, "gen", "example1", "--n", "8", "-o", str(path))
+    payloads = []
+    for tol in ("0", "1e-300"):
+        code, out, _ = run_cli(capsys, "classify", str(path), "--tol-rank", tol)
+        assert code == 0
+        payloads.append(read_report(out)["payload"])
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["label"] == "tight_kg_frame"
 
 
 def test_zero_dual_tolerance_and_zero_steps_are_accepted(tmp_path, capsys):

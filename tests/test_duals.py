@@ -121,6 +121,18 @@ def test_defect_of_scaled_canonical_dual():
         assert cert.is_approx_dual and not cert.is_exact_dual
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_unusable_exact_dual_tolerances_raise(tol):
+    # the candidate's defect is 7.63: an infinite tolerance would certify it exact
+    ksys = random_kg_system(8, [2] * 6, 3, 0)
+    cand = perturbed_dual(ksys, 0.5, seed=0)
+    cand = cand.with_matrix(7.0 * cand.matrix)
+    with pytest.raises(ValueError, match="exact_tol"):
+        approx_defect(ksys.system, cand, ksys.k, exact_tol=tol)
+    with pytest.raises(ValueError, match="exact_tol"):
+        is_kg_dual(ksys.system, cand, ksys.k, tol=tol)
+
+
 def test_perturbed_dual_hits_requested_defect():
     for seed, eps in ((0, 0.3), (1, 0.5), (2, 0.8), (3, 0.05)):
         ksys = random_instance(80 + seed)

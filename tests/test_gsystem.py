@@ -18,6 +18,7 @@ from kgframes import (
     inner,
     optimal_bounds,
     overlap_chain_system,
+    random_kg_system,
     range_condition_holds,
     synthesis,
 )
@@ -227,10 +228,17 @@ def test_classify_g_bessel_only_when_range_condition_fails():
     assert rep.bounds.kg_lower_opt is None
 
 
-def test_classify_requires_positive_tolerance():
-    for tol in (0.0, float("nan")):
+def test_classify_rejects_negative_and_non_finite_tolerances():
+    for tol in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ValueError):
             classify(_identity_system(3), tol=tol)
+
+
+@pytest.mark.parametrize("ksys", [overlap_chain_system(8), corner_projection_system(6),
+                                  random_kg_system(8, [2] * 6, 3, 0)])
+def test_classify_at_zero_tolerance_is_machine_precision(ksys):
+    # any tolerance below machine precision, 0 included, gives the same cut
+    assert classify(ksys, tol=0.0) == classify(ksys, tol=1e-300)
 
 
 @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0])

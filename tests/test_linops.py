@@ -156,7 +156,7 @@ def test_range_projector_of_zero_matrix():
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
-@pytest.mark.parametrize("fn", [pinv, range_basis, range_projector, numerical_rank])
+@pytest.mark.parametrize("fn", [pinv, range_basis, range_projector, numerical_rank, psd_sqrt_pinv])
 def test_unusable_tolerance_raises_on_zero_and_empty_matrices(fn, tol):
     # these return early on such matrices; the tolerance is checked first
     for m in (np.zeros((2, 2)), np.zeros((0, 3))):

@@ -143,6 +143,52 @@ def test_norm_count_survival_is_sound_against_brute_force():
                 assert rep.predicted_lower_bound <= truth.actual_lower_bound + 1e-8
 
 
+
+def test_norm_count_requires_k_of_norm_at_most_one():
+    # three unitary blocks give S = 3 I; with ||K|| = 2, removing two leaves
+    # S_red = I, whose bound relative to K is 1 / ||K||^2 = 0.25, below the
+    # count's A C^2 - |I| = 0.75 * 1.8^2 - 2 = 0.43
+    base = _unitary_block_system(4, 3, 0.9, seed=2)
+    ksys = KGSystem(base.system, 2.0 * base.k)
+    assert erasure_brute_report(ksys, [0, 1]).actual_lower_bound == pytest.approx(0.25)
+    with pytest.raises(NotUnitNormError, match="K has operator norm 2"):
+        erasure_norm_count(ksys, [0, 1])
+    # a singular K is reported as such first
+    corner = corner_projection_system(6)
+    with pytest.raises(KStarNotBoundedBelowError):
+        erasure_norm_count(KGSystem(corner.system, 2.0 * corner.k), [1])
+
+
+@st.composite
+def _unit_norm_instances(draw):
+    """Systems of unit-norm blocks, one to three of them unitary, with K invertible and ||K|| <= 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    blocks = [np.linalg.qr(complex_gaussian(rng, (n, n)))[0] for _ in range(draw(st.integers(1, 3)))]
+    for d in draw(st.lists(st.integers(1, n), max_size=3)):
+        g = complex_gaussian(rng, (d, n))
+        blocks.append(g / np.linalg.svd(g, compute_uv=False)[0])
+    u, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    v, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    svals = draw(st.sampled_from((0.3, 1.0))) * np.linspace(1.0, draw(st.floats(0.5, 1.0)), n)
+    return KGSystem(GSystem(n, tuple(blocks)), (u * svals) @ v.conj().T)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_unit_norm_instances())
+def test_norm_count_never_claims_more_than_brute_force_property(ksys):
+    m = ksys.system.num_blocks
+    for removal in itertools.chain.from_iterable(
+        itertools.combinations(range(m), r) for r in range(m + 1)
+    ):
+        rep = erasure_norm_count(ksys, removal)
+        if rep.survives:
+            truth = erasure_brute_report(ksys, removal)
+            assert truth.survives, removal
+            actual = truth.actual_lower_bound
+            assert rep.predicted_lower_bound <= actual + 1e-8 * max(1.0, actual), removal
+
+
 def test_invertibility_requires_nonsingular_frame_operator():
     ksys = corner_projection_system(6)
     with pytest.raises(FrameOperatorSingularError):

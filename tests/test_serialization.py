@@ -343,6 +343,16 @@ def test_write_through_a_symlink_writes_its_target(tmp_path):
     assert target.read_text() == '{\n "a": 1\n}\n'
 
 
+def test_write_through_a_hard_link_keeps_the_link(tmp_path):
+    target = tmp_path / "a.json"
+    target.write_text("old\n")
+    link = tmp_path / "b.json"
+    os.link(target, link)
+    _write_json({"a": 1}, target)
+    assert link.read_text() == '{\n "a": 1\n}\n'
+    assert target.stat().st_nlink == 2
+
+
 def test_write_to_stdout_or_a_device_goes_through_it(capfd):
     _write_json({"a": 1}, "/dev/stdout")
     assert capfd.readouterr().out == '{\n "a": 1\n}\n'
