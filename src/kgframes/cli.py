@@ -7,7 +7,8 @@ and report-only commands accept ``-o`` to redirect the report instead.
 
 Each command is declared once, in ``_COMMANDS``, and each input file kind
 in ``_INPUTS``; ``build_parser``, ``_run`` and ``main`` all read these two
-tables, and only the options of a single command are added by hand.
+tables, and only the options of a single command are added by hand. A command
+offers, checks and reports only the tolerance flags it reads.
 """
 
 from __future__ import annotations
@@ -147,21 +148,21 @@ _GENERATORS = {"example1": "overlap_chain_system", "example2": "corner_projectio
                "random": "random_kg_system"}
 _CRITERIA = {"norm": "erasure_norm_count", "invert": "erasure_invertibility",
              "brute": "erasure_brute_report"}
-# Each command: its help text, its handler, the inputs it reads in the order
-# they are loaded (the handler receives them after the parsed arguments), and
+# Each command: help text, handler, inputs in load order (the handler gets them
+# after the parsed arguments), tolerances read (flag ``--tol-<name>``), and
 # whether -o names the system file it writes; otherwise -o redirects the report.
 _COMMANDS = {
-    "gen": ("generate a system file", _gen, (), True),
-    "bounds": ("optimal frame constants", _bounds, ("system",), False),
-    "classify": ("frame classification", _classify, ("system",), False),
-    "dual": ("canonical dual family", _dual, ("system",), True),
-    "defect": ("duality defect of a candidate", _defect, ("system", "candidate"), False),
-    "exactify": ("correct an approximate dual", _exactify, ("system", "candidate"), True),
-    "neumann-dual": ("truncated series dual", _neumann_dual, ("system", "candidate"), True),
+    "gen": ("generate a system file", _gen, (), (), True),
+    "bounds": ("optimal frame constants", _bounds, ("system",), ("rank",), False),
+    "classify": ("frame classification", _classify, ("system",), ("rank",), False),
+    "dual": ("canonical dual family", _dual, ("system",), ("rank", "dual"), True),
+    "defect": ("duality defect of a candidate", _defect, ("system", "candidate"), ("rank", "dual"), False),
+    "exactify": ("correct an approximate dual", _exactify, ("system", "candidate"), ("rank", "dual"), True),
+    "neumann-dual": ("truncated series dual", _neumann_dual, ("system", "candidate"), ("rank", "dual"), True),
     "reconstruct": ("iterative reconstruction", _reconstruct,
-                    ("system", "candidate", "vector"), False),
-    "lift": ("lift a dual pair to vector frames", _lift, ("system", "candidate", "frames"), False),
-    "erase": ("erasure survival analysis", _erase, ("system",), False),
+                    ("system", "candidate", "vector"), ("rank",), False),
+    "lift": ("lift a dual pair to vector frames", _lift, ("system", "candidate", "frames"), ("rank",), False),
+    "erase": ("erasure survival analysis", _erase, ("system",), ("rank",), False),
 }
 # Each input: its loader on ``serialization`` and, for an input passed by a
 # required option rather than by position, the option's flag and help text.
@@ -181,12 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
-    for name, (help_text, _, inputs, writes_system) in _COMMANDS.items():
+    for name, (help_text, _, inputs, tolerances, writes_system) in _COMMANDS.items():
         p = parsers[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
-                       help="relative singular-value cutoff for rank decisions (default %(default)g)")
-        p.add_argument("--tol-dual", type=float, default=duals.DUAL_EXACT_TOL,
-                       help="defect threshold certifying an exact dual (default %(default)g)")
+        if "rank" in tolerances:
+            p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
+                           help="relative singular-value cutoff for rank decisions (default %(default)g)")
+        if "dual" in tolerances:
+            p.add_argument("--tol-dual", type=float, default=duals.DUAL_EXACT_TOL,
+                           help="defect threshold certifying an exact dual (default %(default)g)")
         o_help = "system file to write" if writes_system else "report file (default stdout)"
         p.add_argument("-o", "--output", required=writes_system, help=o_help)
         # usage and help list options and positionals apart, each group in order
@@ -215,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_arguments(args: argparse.Namespace) -> None:
-    """Reject tolerances and step counts that no computation can use."""
-    for dest, flag in (("tol_rank", "--tol-rank"), ("tol_dual", "--tol-dual")):
+    """Reject the command's tolerances and step counts that no computation can use."""
+    for tol in _COMMANDS[args.command][3]:
         try:
-            _checked_tol(getattr(args, dest), flag)
+            _checked_tol(getattr(args, f"tol_{tol}"), f"--tol-{tol}")
         except ValueError as exc:
             raise InputError(str(exc)) from None
     for dest, flag in (("num_terms", "--N"), ("num_steps", "--N"), ("seed", "--seed")):
@@ -234,7 +237,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict]:
     that of the file read even when the handler writes over it.
     """
     _check_arguments(args)
-    _, handler, inputs, _ = _COMMANDS[args.command]
+    _, handler, inputs, _, _ = _COMMANDS[args.command]
     paths = {key: getattr(args, key) for key in inputs}
     loaded = [getattr(serialization, _INPUTS[key][0])(path) for key, path in paths.items()]
     digests = {key: {"path": str(path), "sha256": serialization.file_digest(path)}
@@ -263,6 +266,7 @@ def _join_negative_dims(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_join_negative_dims(argv))
+    *_, tolerances, writes_system = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
         payload, inputs = _run(args)
@@ -270,11 +274,10 @@ def main(argv=None) -> int:
             "version": serialization.REPORT_SCHEMA_VERSION,
             "command": argv,
             "inputs": inputs,
-            "tolerances": {"rank": args.tol_rank, "dual": args.tol_dual},
+            "tolerances": {tol: getattr(args, f"tol_{tol}") for tol in tolerances},
             "payload": payload,
             "wall_time_s": time.perf_counter() - started,
         }
-        *_, writes_system = _COMMANDS[args.command]
         if args.output is not None and not writes_system:
             serialization._write_json(report, args.output)
         else:

@@ -17,12 +17,10 @@ from .errors import (
     NotTightError,
     ZeroWeightError,
 )
-from .gsystem import GSystem, KGSystem, classify, range_condition_holds
+from .gsystem import TIGHT_RTOL, GSystem, KGSystem, _is_scalar, classify, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
 
 _MAX_GENERATION_ATTEMPTS = 10
-# Relative tolerance of every test in tight_relation_check.
-TIGHT_RELATION_RTOL = 1e-9
 # random_frame_family draws this many vectors per dimension of each space.
 FRAME_OVERSAMPLE = 2
 
@@ -237,9 +235,9 @@ class TightRelationReport:
     ``K K^*`` being the scalar ``g_constant / kg_constant`` times the
     identity. Both directions are evaluated: ``ratio_deviation`` is the
     operator-norm distance of K K^* from that scalar multiple (when the
-    system is a tight g-frame), ``kk_star_scalar`` is the scalar c when
-    K K^* = c I holds on its own, and ``iff_consistent`` records that the
-    two sides of the equivalence agreed.
+    system is a tight g-frame), ``kk_star_scalar`` is the mean eigenvalue c
+    of K K^* when K K^* counts as scalar on its own, and ``iff_consistent``
+    records that the two sides of the equivalence agreed.
     """
 
     kg_constant: float
@@ -251,7 +249,11 @@ class TightRelationReport:
 
 
 def tight_relation_check(ksys: KGSystem) -> TightRelationReport:
-    """Evaluate, for a tight K-g-frame, the equivalence with tight g-frames."""
+    """Evaluate, for a tight K-g-frame, the equivalence with tight g-frames.
+
+    Every test is relative to ``TIGHT_RTOL``, and K K^* counts as scalar by the
+    rule ``classify`` applies to S: ``sigma_max^2 - sigma_min^2 <= TIGHT_RTOL sigma_max^2``.
+    """
     classes = classify(ksys)
     report = classes.bounds
     if not report.tight_kg or report.tightness_constant is None:
@@ -260,25 +262,23 @@ def tight_relation_check(ksys: KGSystem) -> TightRelationReport:
     is_tight_g = classes.is_tight_g_frame
     a2 = report.bessel_upper_opt if is_tight_g else None
 
-    # K K^* = U diag(sigma^2) U^* with U unitary, so its distance from a
-    # scalar c I is max |sigma^2 - c|; every test is relative to ||K K^*||
-    n = ksys.ambient_dim
+    # K K^* = U diag(sigma^2) U^* with U unitary, so its distance from c I is max |sigma^2 - c|
     kk_evals = ksys.spectrum.k_svals**2
     kk_norm = float(kk_evals[0])
-    c = float(kk_evals.sum()) / n
-    kk_is_scalar = bool(np.abs(kk_evals - c).max() <= TIGHT_RELATION_RTOL * kk_norm)
+    c = float(kk_evals.sum()) / ksys.ambient_dim
+    kk_is_scalar = _is_scalar(kk_norm, float(kk_evals[-1]))
     kk_scalar = c if kk_is_scalar else None
 
     ratio_dev: float | None = None
     forward_ok = True
     if is_tight_g and a2 is not None:
         ratio_dev = float(np.abs(kk_evals - a2 / a1).max())
-        forward_ok = ratio_dev <= TIGHT_RELATION_RTOL * max(a2 / a1, kk_norm)
+        forward_ok = ratio_dev <= TIGHT_RTOL * max(a2 / a1, kk_norm)
 
     # converse: a scalar K K^* forces S = (c * a1) I, i.e. g-tightness
     converse_ok = True
     if kk_is_scalar:
-        converse_ok = is_tight_g and a2 is not None and abs(a2 - c * a1) <= TIGHT_RELATION_RTOL * a2
+        converse_ok = is_tight_g and a2 is not None and abs(a2 - c * a1) <= TIGHT_RTOL * a2
 
     consistent = bool((is_tight_g == kk_is_scalar) and forward_ok and converse_ok)
     return TightRelationReport(a1, is_tight_g, a2, ratio_dev, kk_scalar, consistent)

@@ -37,11 +37,9 @@ from .errors import (
     RangeConditionError,
     TrivialRangeError,
 )
-from .gsystem import GSystem, KGSystem, _k_range, range_condition_holds
+from .gsystem import RANGE_INCLUSION_RTOL, GSystem, KGSystem, _k_range, range_condition_holds
 from .linops import DEFAULT_RANK_TOL
 
-# Relative projector residual below which a vector counts as in range(K).
-MEMBERSHIP_RTOL = 1e-8
 # Defect at or below this value certifies an exact dual.
 DUAL_EXACT_TOL = 1e-9
 # Default iteration cap and early-stop threshold for Neumann reconstruction.
@@ -268,7 +266,7 @@ def neumann_reconstruct(
     ValueError
         If ``num_steps`` is negative.
     NotInRangeError
-        If the target is outside range(K) at relative tolerance 1e-8.
+        If the target is outside range(K) at relative tolerance ``RANGE_INCLUSION_RTOL``.
     NotApproxDualError
         If the measured defect is not below 1.
     """
@@ -280,7 +278,7 @@ def neumann_reconstruct(
         raise DimMismatchError(f"vector has length {f.shape[0]}, expected {system.ambient_dim}")
     b_star = b.conj().T
     f_norm = float(np.linalg.norm(f))
-    if float(np.linalg.norm(f - b @ (b_star @ f))) > MEMBERSHIP_RTOL * f_norm:
+    if float(np.linalg.norm(f - b @ (b_star @ f))) > RANGE_INCLUSION_RTOL * f_norm:
         raise NotInRangeError("target vector is not in range(K)")
 
     # M f = L^* (T f) = conj(L^T conj(T f)), which copies no matrix

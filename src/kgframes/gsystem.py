@@ -25,9 +25,9 @@ from . import linops
 from .errors import DimMismatchError
 from .linops import DEFAULT_RANK_TOL
 
-# Relative residual below which range(K) counts as contained in range(S).
+# Relative residual below which range(K) lies in range(S), and a vector in range(K).
 RANGE_INCLUSION_RTOL = 1e-8
-# Relative Frobenius distance below which a system counts as tight.
+# Relative distance below which a system counts as tight and an operator as scalar.
 TIGHT_RTOL = 1e-8
 
 
@@ -429,6 +429,11 @@ def _kg_lower(spec: KGSpectrum, y: np.ndarray, rank_tol: float) -> float | None:
     return None
 
 
+def _is_scalar(top: float, bottom: float) -> bool:
+    """Whether extreme eigenvalues ``top`` >= ``bottom`` are those of a scalar multiple of I."""
+    return top - bottom <= TIGHT_RTOL * top
+
+
 def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationReport:
     """Classify a K-g-system along the frame and tightness axes.
 
@@ -446,7 +451,7 @@ def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationRep
 
     is_g = spec.s_support(tol).all()
     is_kg = report.kg_lower_opt is not None
-    tight_g = is_g and (report.bessel_upper_opt - report.g_lower_opt) <= TIGHT_RTOL * report.bessel_upper_opt
+    tight_g = is_g and _is_scalar(report.bessel_upper_opt, report.g_lower_opt)
 
     if is_g and tight_g:
         label = Classification.TIGHT_G_FRAME

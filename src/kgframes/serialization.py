@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linops
 from .constructions import SubspaceFrameFamily
 from .errors import DimMismatchError, InputError, ParseError
 from .gsystem import GSystem, KGSystem
@@ -277,6 +278,8 @@ def load_system(path) -> KGSystem:
         raise ParseError(f"{path}: field must be 'complex'")
     try:
         n = _integer(doc["ambient_dim"])
+        if n < 1:  # the schema's minimum, checked before any array is built
+            raise ValueError(n)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed ambient_dim") from exc
     raw_blocks = doc.get("blocks")
@@ -300,7 +303,7 @@ def load_system(path) -> KGSystem:
 
 
 def save_vector(v: np.ndarray, path) -> None:
-    a = np.asarray(v, dtype=np.complex128)
+    a = linops.as_vector(v)
     doc = {
         "version": VECTOR_SCHEMA_VERSION,
         "dim": int(a.shape[0]),

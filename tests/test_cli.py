@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -25,7 +26,10 @@ from kgframes import (
     save_system,
     save_vector,
 )
+from kgframes import cli
 from kgframes.cli import main
+from kgframes.duals import DUAL_EXACT_TOL
+from kgframes.linops import DEFAULT_RANK_TOL
 from kgframes.serialization import REPORT_FILE_SCHEMA
 
 from oracles import random_instance, random_range_vector
@@ -342,6 +346,63 @@ def test_unusable_tolerances_and_step_counts_are_input_errors(tmp_path, capsys, 
     assert error["type"] == "InputError"
     assert error["message"].startswith(flag)
     assert not (tmp_path / "out.json").exists()
+
+
+# One run of each command over files from _command_files, and the tolerances
+# it reads: --tol-rank everywhere but gen, --tol-dual where a dual is certified.
+_TOLERANCE_CASES = {
+    "gen": (("gen", "example1", "--n", "8", "-o", "OUT"), ()),
+    "bounds": (("bounds", "SYS"), ("rank",)),
+    "classify": (("classify", "SYS"), ("rank",)),
+    "dual": (("dual", "SYS", "-o", "OUT"), ("rank", "dual")),
+    "defect": (("defect", "SYS", "CAND"), ("rank", "dual")),
+    "exactify": (("exactify", "SYS", "CAND", "-o", "OUT"), ("rank", "dual")),
+    "neumann-dual": (("neumann-dual", "SYS", "CAND", "--N", "2", "-o", "OUT"), ("rank", "dual")),
+    "reconstruct": (("reconstruct", "SYS", "CAND", "--vec", "VEC"), ("rank",)),
+    "lift": (("lift", "SYS", "CAND", "--frames", "FAMS"), ("rank",)),
+    "erase": (("erase", "SYS", "--indices", "0", "--criterion", "brute"), ("rank",)),
+}
+
+
+def _command_files(tmp_path) -> dict:
+    ksys = random_instance(104)
+    paths = {key: str(tmp_path / f"{key.lower()}.json")
+             for key in ("SYS", "CAND", "VEC", "FAMS", "OUT")}
+    save_system(ksys, paths["SYS"])
+    save_system(KGSystem(perturbed_dual(ksys, 0.4, seed=2), ksys.k), paths["CAND"])
+    save_vector(random_range_vector(np.random.default_rng(3), ksys.k), paths["VEC"])
+    save_frame_family(random_frame_family(ksys.system.block_dims, seed=7), paths["FAMS"])
+    return paths
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_offers_checks_and_reports_only_the_tolerances_it_reads(
+        tmp_path, capsys, command):
+    argv, reads = _TOLERANCE_CASES[command]
+    assert cli._COMMANDS[command][3] == reads
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    for tol in ("rank", "dual"):
+        assert (f"--tol-{tol}" in help_text) == (tol in reads)
+
+    paths = _command_files(tmp_path)
+    argv = [paths.get(a, a) for a in argv]
+    for tol in {"rank", "dual"} - set(reads):
+        # a flag the command does not offer is a usage error, before any write
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol-{tol}", {"rank": "0.5", "dual": "1e-6"}[tol]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not os.path.exists(paths["OUT"])
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = read_report(out)
+    jsonschema.validate(report, REPORT_FILE_SCHEMA)
+    defaults = {"rank": DEFAULT_RANK_TOL, "dual": DUAL_EXACT_TOL}
+    assert report["tolerances"] == {tol: defaults[tol] for tol in reads}
 
 
 def test_zero_rank_tolerance_means_machine_precision(tmp_path, capsys):

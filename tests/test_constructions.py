@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgframes import (
     BadDimError,
@@ -15,6 +17,7 @@ from kgframes import (
     ZeroWeightError,
     analysis,
     canonical_kg_dual,
+    classify,
     compose,
     corner_projection_system,
     frame_operator,
@@ -26,6 +29,7 @@ from kgframes import (
     scale_weights,
     tight_relation_check,
 )
+from kgframes.gsystem import Classification
 
 from oracles import random_instance
 
@@ -273,4 +277,46 @@ def test_tight_relation_verdict_does_not_depend_on_scale(c):
     rep = tight_relation_check(KGSystem(GSystem(2, (np.eye(2),)), c * np.eye(2)))
     assert rep.is_tight_g
     assert rep.kk_star_scalar is not None and abs(rep.kk_star_scalar - c * c) <= 1e-9 * c * c
+    assert rep.iff_consistent
+
+
+def test_tight_relation_decides_scalar_as_classify_does():
+    # S = diag(1 + 5e-9, 1, 1, 1) is within TIGHT_RTOL of scalar, and K = I
+    blocks = (np.diag([np.sqrt(1 + 5e-9), 1.0, 0.0, 0.0])[:2], np.eye(4)[2:])
+    ksys = KGSystem(GSystem(4, blocks), np.eye(4))
+    assert classify(ksys).label is Classification.TIGHT_G_FRAME
+    rep = tight_relation_check(ksys)
+    assert rep.is_tight_g
+    assert rep.kk_star_scalar == 1.0
+    assert rep.iff_consistent
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def _near_scalar_tight_systems(draw):
+    """S = a K K^* exactly, with K K^* = c I but for one eigenvalue moved by delta."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sig2 = np.ones(n)
+    sig2[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+        st.floats(np.log10(3e-11), -7.0))
+    c = 10.0 ** draw(st.floats(-3.0, 3.0))
+    k = _unitary(rng, n) @ np.diag(np.sqrt(c * sig2)) @ _unitary(rng, n)
+    a = 10.0 ** draw(st.floats(-2.0, 2.0))
+    l = np.sqrt(a) * _unitary(rng, n) @ k.conj().T
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(2, n - 1))))
+    return KGSystem(GSystem(n, tuple(np.split(l, cuts))), k)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_near_scalar_tight_systems())
+def test_tight_relation_is_consistent_near_the_scalar_threshold(ksys):
+    try:
+        rep = tight_relation_check(ksys)
+    except NotTightError:
+        return
     assert rep.iff_consistent

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ def test_load_rejects_mismatched_block_width(tmp_path):
         load_system(path)
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_load_rejects_ambient_dims_below_one_as_the_schema_does(tmp_path, n):
+    path = tmp_path / "sys.json"
+    doc = {"version": SYSTEM_SCHEMA_VERSION, "ambient_dim": n, "field": "complex", "blocks": []}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SYSTEM_FILE_SCHEMA)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: missing or malformed ambient_dim")):
+        load_system(path)
+
+
 def test_load_rejects_wrong_version_and_bad_json(tmp_path):
     path = tmp_path / "sys.json"
     path.write_text("{not json")
@@ -170,6 +182,15 @@ def test_vector_round_trip(tmp_path):
     path = tmp_path / "vec.json"
     save_vector(v, path)
     assert np.array_equal(load_vector(path), v)
+
+
+@pytest.mark.parametrize("v", [np.ones((2, 3)), np.array([1.0, np.nan]), np.array(1.0)],
+                         ids=["2-d", "nan", "0-d"])
+def test_save_vector_rejects_what_load_vector_would_and_writes_nothing(tmp_path, v):
+    path = tmp_path / "vec.json"
+    with pytest.raises(ValueError):
+        save_vector(v, path)
+    assert not path.exists()
 
 
 def test_frame_family_round_trip(tmp_path):
