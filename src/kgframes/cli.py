@@ -1,9 +1,10 @@
 """Command-line driver emitting machine-readable JSON reports.
 
 Exit codes: 0 on success, 1 when a mathematical precondition fails
-(ComputationError), 2 on malformed input (InputError or bad arguments).
-Reports go to stdout; commands that produce a system write it to ``-o``
-and report-only commands accept ``-o`` to redirect the report instead.
+(ComputationError), 2 on malformed input or a usage error (InputError).
+Reports go to stdout, and each failure's one JSON error report to stderr;
+commands that produce a system write it to ``-o`` and report-only commands
+accept ``-o`` to redirect the report instead.
 
 Each command is declared once, in ``_COMMANDS``, and each input file kind
 in ``_INPUTS``; ``build_parser``, ``_run`` and ``main`` all read these two
@@ -14,6 +15,7 @@ offers, checks and reports only the tolerance flags it reads.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -34,13 +36,12 @@ def _gen(args) -> dict:
             raise InputError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
         extra = (dims, args.rank_k, args.seed)
     ksys = getattr(constructions, _GENERATORS[args.kind])(args.n, *extra)
-    serialization.save_system(ksys, args.output)
     return {
         "kind": "generate",
         "path": str(args.output),
         "ambient_dim": ksys.ambient_dim,
         "num_blocks": ksys.system.num_blocks,
-        "sha256": serialization.file_digest(args.output),
+        "sha256": serialization.save_system(ksys, args.output),
     }
 
 
@@ -67,13 +68,12 @@ def _certificate(args, ksys, family: gsystem.GSystem) -> dict:
 
 
 def _saved_dual(args, ksys, family: gsystem.GSystem, kind: str, **extra) -> dict:
-    """Write ``family`` with the system's K to ``-o`` and certify it."""
-    serialization.save_system(gsystem.KGSystem(family, ksys.k), args.output)
+    """Write ``family`` with the system's K to ``-o``, then certify it."""
     return {
         "kind": kind,
         **extra,
         "path": str(args.output),
-        "sha256": serialization.file_digest(args.output),
+        "sha256": serialization.save_system(gsystem.KGSystem(family, ksys.k), args.output),
         "certificate": _certificate(args, ksys, family),
     }
 
@@ -127,8 +127,6 @@ def _lift(args, ksys, cand, fams) -> dict:
 
 
 def _erase(args, ksys) -> dict:
-    if (args.indices is None) == (args.max_remove is None):
-        raise InputError("pass exactly one of --indices or --max-remove")
     if args.max_remove is not None:
         if args.criterion != "brute":
             raise InputError("--max-remove requires --criterion brute")
@@ -174,8 +172,15 @@ _INPUTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and its subparsers, raising usage errors as InputErrors."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgframes",
         description="Frame bounds, duals, reconstruction, and erasure analysis "
         "for operator-valued frame systems.",
@@ -209,17 +214,22 @@ def build_parser() -> argparse.ArgumentParser:
     parsers["neumann-dual"].add_argument("--N", type=int, required=True, dest="num_terms")
     parsers["reconstruct"].add_argument(
         "--N", type=int, default=duals.NEUMANN_DEFAULT_STEPS, dest="num_steps")
-    p = parsers["erase"]
-    p.add_argument("--indices", type=int, nargs="+", default=None)
-    p.add_argument("--criterion", choices=list(_CRITERIA), required=True)
-    p.add_argument("--max-remove", type=int, default=None,
-                   help="enumerate all removals up to this size (brute only)")
+    parsers["erase"].add_argument("--criterion", choices=list(_CRITERIA), required=True)
+    p = parsers["erase"].add_mutually_exclusive_group(required=True)
+    p.add_argument("--indices", type=int, nargs="+")
+    p.add_argument("--max-remove", type=int, help="enumerate all removals up to this size (brute only)")
     return parser
 
 
-def _check_arguments(args: argparse.Namespace) -> None:
-    """Reject the command's tolerances and step counts that no computation can use."""
-    for tol in _COMMANDS[args.command][3]:
+def _run(args: argparse.Namespace) -> tuple[dict, dict]:
+    """Dispatch one parsed command; returns (payload, input digests).
+
+    The arguments and input paths are checked before any input is read, and
+    every input is loaded and digested before the handler runs, so a digest
+    is that of the file read even when the handler writes over it.
+    """
+    _, handler, inputs, tolerances, _ = _COMMANDS[args.command]
+    for tol in tolerances:
         try:
             _checked_tol(getattr(args, f"tol_{tol}"), f"--tol-{tol}")
         except ValueError as exc:
@@ -227,52 +237,26 @@ def _check_arguments(args: argparse.Namespace) -> None:
     for dest, flag in (("num_terms", "--N"), ("num_steps", "--N"), ("seed", "--seed")):
         if getattr(args, dest, 0) < 0:
             raise InputError(f"{flag} must be non-negative, got {getattr(args, dest)}")
-
-
-def _run(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Dispatch one parsed command; returns (payload, input digests).
-
-    The arguments are checked before any input file is read, and every
-    input is loaded and digested before the handler runs, so a digest is
-    that of the file read even when the handler writes over it.
-    """
-    _check_arguments(args)
-    _, handler, inputs, _, _ = _COMMANDS[args.command]
     paths = {key: getattr(args, key) for key in inputs}
+    for path in paths.values():
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise InputError(f"{path}: not a regular file, so its digest cannot be taken")
     loaded = [getattr(serialization, _INPUTS[key][0])(path) for key, path in paths.items()]
     digests = {key: {"path": str(path), "sha256": serialization.file_digest(path)}
                for key, path in paths.items()}
     return handler(args, *loaded), digests
 
 
-def _join_negative_dims(argv: list[str]) -> list[str]:
-    """``argv`` with ``--dims -1,6`` written as ``--dims=-1,6``.
-
-    argparse takes a token such as ``-1,6`` for an option rather than for
-    the value of the option before it; joined, the value reaches the same
-    dimension check as any other. Abbreviations such as ``--dim`` are
-    joined too, since argparse accepts them.
-    """
-    out: list[str] = []
-    for token in argv:
-        if (out and len(out[-1]) > 2 and "--dims".startswith(out[-1])
-                and token[:1] == "-" and token[1:2].isdigit()):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_join_negative_dims(argv))
-    *_, tolerances, writes_system = _COMMANDS[args.command]
-    started = time.perf_counter()
+    head = {"version": serialization.REPORT_SCHEMA_VERSION, "command": argv}
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
+        *_, tolerances, writes_system = _COMMANDS[args.command]
         payload, inputs = _run(args)
         report = {
-            "version": serialization.REPORT_SCHEMA_VERSION,
-            "command": argv,
+            **head,
             "inputs": inputs,
             "tolerances": {tol: getattr(args, f"tol_{tol}") for tol in tolerances},
             "payload": payload,
@@ -281,13 +265,14 @@ def main(argv=None) -> int:
         if args.output is not None and not writes_system:
             serialization._write_json(report, args.output)
         else:
-            serialization._dump_json(report, sys.stdout)
+            try:
+                serialization._dump_json(report, sys.stdout)
+                sys.stdout.flush()
+            except OSError as exc:
+                raise InputError(f"cannot write the report to stdout: {exc}") from exc
     except (InputError, ComputationError) as exc:
-        serialization._dump_json({
-            "version": serialization.REPORT_SCHEMA_VERSION,
-            "command": argv,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }, sys.stderr)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        serialization._dump_json({**head, "error": error}, sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
     return 0
 

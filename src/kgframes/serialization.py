@@ -208,27 +208,36 @@ def _dump_json(doc, fh) -> None:
     fh.write("\n")
 
 
-def _write_json(doc: dict, path) -> None:
+def _write_json(doc: dict, path) -> str:
     """Write ``doc`` to ``path`` by way of a new file beside it that then
     replaces it: on any exception the old file keeps its bytes and the new
     one is removed. Anything but a new path or a regular file with one link
     (a symlink, a hard link, ``/dev/stdout``, a pipe) is written through as
-    ``open(path, "w")`` writes it; permissions and error text are as ``open``'s too."""
+    ``open(path, "w")`` writes it; permissions and error text are as ``open``'s too.
+    Returns the sha256 hex digest of the bytes, taken as they are written."""
+    digest = hashlib.sha256()
+
+    def dump(fh) -> None:
+        for chunk in chain(_json_chunks(doc), ("\n",)):
+            data = chunk.encode()  # ASCII: json.dumps escapes everything else
+            digest.update(data)
+            fh.write(data)
+
     tmp = None
     try:
         st = os.lstat(path) if os.path.lexists(path) else None
         if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
-            with open(path, "w") as fh:
-                _dump_json(doc, fh)
-            return
+            with open(path, "wb") as fh:
+                dump(fh)
+            return digest.hexdigest()
         if st is not None:
             os.close(os.open(path, os.O_WRONLY))  # fail where open(path, "w") fails
         name = f"{path}.{os.urandom(6).hex()}.tmp"
-        with open(name, "x") as fh:  # mode 0o666 less the umask, as open(path, "w")
+        with open(name, "xb") as fh:  # mode 0o666 less the umask, as open(path, "w")
             tmp = name
             if st is not None:
                 os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))  # the mode open() keeps
-            _dump_json(doc, fh)
+            dump(fh)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -238,6 +247,7 @@ def _write_json(doc: dict, path) -> None:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+    return digest.hexdigest()
 
 
 def _read_json(path, version: str) -> dict:
@@ -260,7 +270,8 @@ def _read_json(path, version: str) -> dict:
     return doc
 
 
-def save_system(ksys: KGSystem, path) -> None:
+def save_system(ksys: KGSystem, path) -> str:
+    """Write a SystemFile; returns the sha256 hex digest of the bytes written."""
     doc = {
         "version": SYSTEM_SCHEMA_VERSION,
         "ambient_dim": ksys.ambient_dim,
@@ -268,7 +279,7 @@ def save_system(ksys: KGSystem, path) -> None:
         "blocks": [_matrix_doc(b) for b in ksys.system.blocks],
         "k": _matrix_doc(ksys.k),
     }
-    _write_json(doc, path)
+    return _write_json(doc, path)
 
 
 def load_system(path) -> KGSystem:
@@ -302,14 +313,15 @@ def load_system(path) -> KGSystem:
     return KGSystem(GSystem(n, tuple(blocks)), k)
 
 
-def save_vector(v: np.ndarray, path) -> None:
+def save_vector(v: np.ndarray, path) -> str:
+    """Write a vector file; returns the sha256 hex digest of the bytes written."""
     a = linops.as_vector(v)
     doc = {
         "version": VECTOR_SCHEMA_VERSION,
         "dim": int(a.shape[0]),
         "entries": a,
     }
-    _write_json(doc, path)
+    return _write_json(doc, path)
 
 
 def load_vector(path) -> np.ndarray:
@@ -322,12 +334,13 @@ def load_vector(path) -> np.ndarray:
     return mat.reshape(-1)
 
 
-def save_frame_family(fams: SubspaceFrameFamily, path) -> None:
+def save_frame_family(fams: SubspaceFrameFamily, path) -> str:
+    """Write a frame-family file; returns the sha256 hex digest of the bytes written."""
     doc = {
         "version": FRAMES_SCHEMA_VERSION,
         "families": [_matrix_doc(f) for f in fams.families],
     }
-    _write_json(doc, path)
+    return _write_json(doc, path)
 
 
 def load_frame_family(path) -> SubspaceFrameFamily:

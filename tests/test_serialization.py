@@ -1,5 +1,6 @@
 """Tests for the JSON system, vector, and frame-family files."""
 
+import hashlib
 import io
 import json
 import os
@@ -301,17 +302,20 @@ def test_saved_files_are_the_stdlib_encoders_bytes(tmp_path, data):
     k = data.draw(st.one_of(_matrices(cols=n).filter(lambda m: m.shape[0] == n),
                             st.just(np.eye(n, dtype=np.complex128))))
     path = tmp_path / "out.json"
-    save_system(KGSystem(GSystem(n, tuple(blocks)), k), path)
+    # each save_* returns the digest of the bytes it wrote
+    digest = save_system(KGSystem(GSystem(n, tuple(blocks)), k), path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert path.read_text() == _stdlib({
         "version": SYSTEM_SCHEMA_VERSION, "ambient_dim": n, "field": "complex",
         "blocks": [_pairs_doc(b) for b in blocks], "k": _pairs_doc(k)})
     vec = data.draw(_matrices(cols=1)).reshape(-1)
-    save_vector(vec, path)
+    assert save_vector(vec, path) == hashlib.sha256(path.read_bytes()).hexdigest()
     assert path.read_text() == _stdlib({
         "version": VECTOR_SCHEMA_VERSION, "dim": vec.size,
         "entries": _pairs_doc(vec.reshape(-1, 1))["entries"]})
     fams = data.draw(st.lists(_matrices(), max_size=3))
-    save_frame_family(SubspaceFrameFamily(tuple(fams), 1.0, 1.0), path)
+    digest = save_frame_family(SubspaceFrameFamily(tuple(fams), 1.0, 1.0), path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert path.read_text() == _stdlib({
         "version": "kgframes.frames/1", "families": [_pairs_doc(f) for f in fams]})
 
