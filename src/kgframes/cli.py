@@ -15,6 +15,7 @@ offers, checks and reports only the tolerance flags it reads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -266,13 +267,18 @@ def main(argv=None) -> int:
             serialization._write_json(report, args.output)
         else:
             try:
-                serialization._dump_json(report, sys.stdout)
+                serialization._dump_json(report, sys.stdout.write)
                 sys.stdout.flush()
             except OSError as exc:
+                # drop what stdout still holds, or the flush at exit fails again (status 120)
+                with contextlib.suppress(AttributeError, OSError, ValueError):  # no fileno
+                    fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, fd)
+                    os.close(devnull)
                 raise InputError(f"cannot write the report to stdout: {exc}") from exc
     except (InputError, ComputationError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-        serialization._dump_json({**head, "error": error}, sys.stderr)
+        serialization._dump_json({**head, "error": error}, sys.stderr.write)
         return 2 if isinstance(exc, InputError) else 1
     return 0
 

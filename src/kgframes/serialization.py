@@ -200,12 +200,12 @@ def _json_chunks(value, depth: int = 0):
         yield json.dumps(value)
 
 
-def _dump_json(doc, fh) -> None:
-    """Write ``json.dumps(doc, indent=1)`` and a newline to the text stream
-    ``fh``, one matrix or smaller piece at a time (arrays as in
-    ``_json_chunks``)."""
-    fh.writelines(_json_chunks(doc))
-    fh.write("\n")
+def _dump_json(doc, write) -> None:
+    """Pass ``json.dumps(doc, indent=1)`` and a newline to ``write``, one
+    matrix or smaller piece at a time (arrays as in ``_json_chunks``)."""
+    for chunk in _json_chunks(doc):
+        write(chunk)
+    write("\n")
 
 
 def _write_json(doc: dict, path) -> str:
@@ -217,29 +217,28 @@ def _write_json(doc: dict, path) -> str:
     Returns the sha256 hex digest of the bytes, taken as they are written."""
     digest = hashlib.sha256()
 
-    def dump(fh) -> None:
-        for chunk in chain(_json_chunks(doc), ("\n",)):
-            data = chunk.encode()  # ASCII: json.dumps escapes everything else
-            digest.update(data)
-            fh.write(data)
+    def write(chunk: str) -> None:
+        data = chunk.encode()  # ASCII: json.dumps escapes everything else
+        digest.update(data)
+        fh.write(data)
 
     tmp = None
     try:
         st = os.lstat(path) if os.path.lexists(path) else None
         if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
             with open(path, "wb") as fh:
-                dump(fh)
-            return digest.hexdigest()
-        if st is not None:
-            os.close(os.open(path, os.O_WRONLY))  # fail where open(path, "w") fails
-        name = f"{path}.{os.urandom(6).hex()}.tmp"
-        with open(name, "xb") as fh:  # mode 0o666 less the umask, as open(path, "w")
-            tmp = name
+                _dump_json(doc, write)
+        else:
             if st is not None:
-                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))  # the mode open() keeps
-            dump(fh)
-        os.replace(tmp, path)
-        tmp = None
+                os.close(os.open(path, os.O_WRONLY))  # fail where open(path, "w") fails
+            name = f"{path}.{os.urandom(6).hex()}.tmp"
+            with open(name, "xb") as fh:  # mode 0o666 less the umask, as open(path, "w")
+                tmp = name
+                if st is not None:
+                    os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))  # the mode open() keeps
+                _dump_json(doc, write)
+            os.replace(tmp, path)
+            tmp = None
     except OSError as exc:
         reason = OSError(exc.errno, exc.strerror, os.fspath(path)) if exc.filename else exc
         raise InputError(f"cannot write {path}: {reason}") from exc

@@ -591,6 +591,30 @@ def _cli_process(*argv, **kwargs):
                           capture_output=True, timeout=60, **kwargs)
 
 
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_a_process_whose_stdout_fails_exits_two_with_one_error_document(tmp_path, target):
+    # stdout block-buffered, as in a shell: the bytes it held must not be flushed
+    # again at exit, which would print a second message and exit 120
+    path = tmp_path / "sys.json"
+    save_system(random_instance(112), path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if target == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(target, os.O_WRONLY)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kgframes.cli", "bounds", str(path)],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stderr)
+    assert proc.stderr.decode() == json.dumps(report, indent=1) + "\n"  # exactly one document
+    assert report["error"]["type"] == "InputError"
+    assert report["error"]["message"].startswith("cannot write the report to stdout: ")
+
+
 def test_a_system_written_to_stdout_is_digested_from_the_bytes_written(tmp_path):
     # the file is never read back: a pipe read back would be drained and then block
     path = tmp_path / "sys.json"

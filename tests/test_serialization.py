@@ -325,14 +325,14 @@ def test_saved_files_are_the_stdlib_encoders_bytes(tmp_path, data):
 def test_written_reports_are_the_stdlib_encoders_bytes(doc):
     for value in (doc, {}, {"payload": doc, "empty": [], "nested": {"e": {}}}):
         buf = io.StringIO()
-        _dump_json(value, buf)
+        _dump_json(value, buf.write)
         assert buf.getvalue() == _stdlib(value)
 
 
 def test_writer_rejects_unknown_types_and_non_string_keys():
     for bad in ({"k": object()}, {"k": [np.int64(1)]}, {1: 0}):
         with pytest.raises(TypeError):
-            _dump_json(bad, io.StringIO())
+            _dump_json(bad, io.StringIO().write)
 
 
 def test_failed_write_leaves_the_old_file_and_no_other(tmp_path):
