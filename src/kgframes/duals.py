@@ -147,17 +147,13 @@ def _canonical_factors(ksys: KGSystem, rank_tol: float) -> tuple[np.ndarray, np.
 def _compress(system: GSystem, candidate: GSystem, k, rank_tol: float):
     """The range basis B of K, T B, M B and the compression C = B^* M B.
 
-    B comes from the cached spectrum of the system that owns ``k``, if any,
-    and M B = L^* (T B) is formed as conj(L^T conj(T B)), so neither M nor a
-    conjugated copy of L exists. The callers that use the defect take it as
+    B comes from the spectrum of the system that owns ``k``, and M B =
+    L^* (T B) is formed as conj(L^T conj(T B)), so neither M nor a conjugated
+    copy of L exists. The callers that use the defect take it as
     ||(I - M) P|| = ||B - M B||, a norm on range(K) only.
     """
     _check_same_shape(system, candidate)
-    k_op = linops.as_operator(k)
-    n = system.ambient_dim
-    if k_op.shape != (n, n):
-        raise DimMismatchError(f"K has shape {k_op.shape}, expected ({n}, {n})")
-    b = _k_range(k_op, rank_tol)
+    b = _k_range(k, system.ambient_dim, rank_tol)
     tb = candidate.matrix @ b
     mb = (system.matrix.T @ tb.conj()).conj()
     return b, tb, mb, b.conj().T @ mb

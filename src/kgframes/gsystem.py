@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -114,7 +115,7 @@ class KGSystem:
 
     @functools.cached_property
     def spectrum(self) -> "KGSpectrum":
-        """The spectral factorization of this system, computed on first use.
+        """The spectral factorization of this system: K's on first use, S's on first read.
 
         Instances are immutable, so the cached factorization never goes stale.
         """
@@ -127,37 +128,33 @@ class KGSystem:
 _K_OWNERS: "weakref.WeakValueDictionary[int, KGSystem]" = weakref.WeakValueDictionary()
 
 
-def _k_range(k, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of range(K), read from the owner's spectrum when there is one.
+def _k_range(k, n: int, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis of range(K), from the spectrum of the system that owns ``k``.
 
-    When ``k`` is the array of a live :class:`KGSystem` whose spectrum has
-    already been computed, the basis is sliced from that cached SVD (the same
-    columns :func:`linops.range_basis` takes). Otherwise K is factored here,
-    and no spectrum of S is computed.
+    A ``k`` that no live :class:`KGSystem` of ambient dimension ``n`` owns
+    gets an owner without blocks for the call, which checks its shape and
+    entries. K is factored once per owner; S is not factored.
     """
     owner = _K_OWNERS.get(id(k))
-    # ``is`` rules out an id reused by another array; the cached_property
-    # lives in the instance dict only once it has been computed
-    if owner is not None and owner.k is k and "spectrum" in owner.__dict__:
-        return owner.spectrum.k_range(rank_tol)
-    return linops.range_basis(k, rank_tol)
+    # ``is`` rules out an id reused by another array
+    if owner is None or owner.k is not k or owner.ambient_dim != n:
+        owner = KGSystem(GSystem(n, ()), k)
+    return owner.spectrum.k_range(rank_tol)
 
 
 @dataclass(frozen=True, eq=False)
 class KGSpectrum:
-    """One eigendecomposition of S and one reduced SVD of K.
+    """One reduced SVD of K and, on first use, one eigendecomposition of S.
 
-    ``s_evals`` (ascending) and ``s_evecs`` are the eigenpairs of the frame
-    operator S. ``k_svals`` (descending) are the singular values of K and
-    ``k_range_basis`` its leading left singular vectors, one per singular
-    value above the machine-precision cutoff (``tol = 0``). Everything else
-    (ranks, range bases, S^+, P_K, the S^{+/2} K norm) depends on a
-    tolerance and is derived per call, so no n x n operator besides the
-    eigenvectors of S is kept alive.
+    ``rows`` is the stacked block matrix L (S = L^* L). ``k_svals`` are K's
+    singular values, descending, and ``k_range_basis`` its left singular
+    vectors above the machine-precision cutoff (``tol = 0``). The eigenpairs
+    of S take one ``eigh`` when first read, so a consumer of K alone never
+    factors S. Everything else (ranks, range bases, S^+, P_K, the S^{+/2} K
+    norm) depends on a tolerance and is derived per call.
     """
 
-    s_evals: np.ndarray
-    s_evecs: np.ndarray
+    rows: np.ndarray
     k_svals: np.ndarray
     k_range_basis: np.ndarray
 
@@ -168,15 +165,17 @@ class KGSpectrum:
         basis = np.array(u[:, :rank])  # a copy, so the rest of U is freed
         sv.setflags(write=False)
         basis.setflags(write=False)
-        return cls(*_frozen_eigh(frame_operator(ksys.system)), sv, basis)
+        return cls(ksys.system.matrix, sv, basis)
 
-    def _with_rows(self, matrix: np.ndarray) -> "KGSpectrum":
-        """The spectrum of the system whose stacked rows are ``matrix``, with this K.
+    @functools.cached_property
+    def _s_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = np.linalg.eigh(_gram(self.rows))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
-        One ``eigh`` of the Gram of ``matrix``; the factorization of K is
-        shared, not copied or recomputed.
-        """
-        return KGSpectrum(*_frozen_eigh(_gram(matrix)), self.k_svals, self.k_range_basis)
+    s_evals = property(lambda self: self._s_eigh[0], doc="Eigenvalues of S, ascending.")
+    s_evecs = property(lambda self: self._s_eigh[1], doc="Eigenvectors of S, as ``s_evals``.")
 
     def s_support(self, tol: float) -> np.ndarray:
         """Mask of the eigenvalues of S above the rank cutoff at ``tol``: range(S)."""
@@ -244,8 +243,10 @@ class BoundReport:
 
     ``kg_lower_opt`` is None when range(K) is not contained in range(S) at
     the working tolerance (no positive lower bound relative to K exists).
-    ``tight_kg`` records whether S equals ``kg_lower_opt * K K^*`` up to a
-    relative Frobenius tolerance, with the constant in ``tightness_constant``.
+    ``tight_kg`` records whether S equals ``kg_lower_opt * K K^*`` in the
+    operator norm, ||S - A K K^*|| <= ``TIGHT_RTOL`` max(||S||, A ||K||^2)
+    with A = ``kg_lower_opt``, the constant then in ``tightness_constant``.
+    At K = I this is the rule that labels a tight g-frame.
     """
 
     bessel_upper_opt: float
@@ -339,31 +340,22 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return (s + s.conj().T) / 2.0
 
 
-def _frozen_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenvalues (ascending) and eigenvectors of the Hermitian ``s``."""
-    w, v = np.linalg.eigh(s)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+def _norm_at_most(x: np.ndarray, limit: float) -> bool:
+    """Whether ||x|| <= ``limit``.
 
-
-def _range_holds(outside: np.ndarray, k_norm: float) -> bool:
-    """Whether ||(I - P_S) K|| <= RANGE_INCLUSION_RTOL ||K||.
-
-    ``outside`` holds the rows of K (in the eigenbasis of S) along the kernel
-    of S. Their Frobenius norm bounds the operator norm from above, so the
-    dense norm is taken only when that bound alone does not decide.
+    ||x||_F / sqrt(rank x) <= ||x|| <= ||x||_F, so the dense norm is taken
+    only when the Frobenius norm alone does not decide.
     """
-    if k_norm == 0.0:
-        return True
-    limit = RANGE_INCLUSION_RTOL * k_norm
-    return float(np.linalg.norm(outside)) <= limit or linops.op_norm(outside) <= limit
+    fro = float(np.linalg.norm(x))
+    if fro <= limit or fro > limit * math.sqrt(min(x.shape)):
+        return fro <= limit
+    return linops.op_norm(x) <= limit
 
 
 def range_condition_holds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether range(K) is contained in range(S) at the working tolerance."""
     spec = ksys.spectrum
-    return _range_holds(spec.k_rows(~spec.s_support(rank_tol)), spec.k_norm)
+    return _norm_at_most(spec.k_rows(~spec.s_support(rank_tol)), RANGE_INCLUSION_RTOL * spec.k_norm)
 
 
 def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
@@ -386,13 +378,11 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundR
         relative to K is ``1 / ||S^{+/2} K||^2``, valid exactly when
         range(K) lies inside range(S); otherwise the field is None.
         Everything comes from the cached :attr:`KGSystem.spectrum`; the
-        one dense computation per call is the norm of S^{+/2} K.
+        one dense computation per call is the norm of S^{+/2} K, and a
+        second, of S - A K K^*, is taken only when its Frobenius norm does
+        not decide tightness.
     """
-    return _spectral_bounds(ksys.spectrum, rank_tol)
-
-
-def _spectral_bounds(spec: KGSpectrum, rank_tol: float) -> BoundReport:
-    """The optimal frame constants read off a spectrum (see :func:`optimal_bounds`)."""
+    spec = ksys.spectrum
     w = spec.s_evals
     bessel = max(float(w[-1]), 0.0)
     g_lower = max(float(w[0]), 0.0)
@@ -401,17 +391,13 @@ def _spectral_bounds(spec: KGSpectrum, rank_tol: float) -> BoundReport:
     kg_lower = _kg_lower(spec, y, rank_tol)
 
     tight = False
-    constant: float | None = None
     if kg_lower is not None:
-        # S - A K K^* in the same basis is diag(w) - A y y^*; ||S||_F = ||w||
-        # and ||K K^*||_F = ||sigma^2||
+        # S - A K K^* in the same basis is diag(w) - A y y^*; ||S|| = w_max
+        # and ||A K K^*|| = A ||K||^2
         diff = -kg_lower * (y @ y.conj().T)
         diff[np.diag_indices_from(diff)] += w
-        scale = max(float(np.linalg.norm(w)), kg_lower * float(np.linalg.norm(spec.k_svals**2)))
-        if scale > 0.0 and float(np.linalg.norm(diff)) <= TIGHT_RTOL * scale:
-            tight = True
-            constant = kg_lower
-    return BoundReport(bessel, g_lower, kg_lower, tight, constant)
+        tight = _norm_at_most(diff, TIGHT_RTOL * max(bessel, kg_lower * spec.k_norm**2))
+    return BoundReport(bessel, g_lower, kg_lower, tight, kg_lower if tight else None)
 
 
 def _kg_lower(spec: KGSpectrum, y: np.ndarray, rank_tol: float) -> float | None:
@@ -422,7 +408,7 @@ def _kg_lower(spec: KGSpectrum, y: np.ndarray, rank_tol: float) -> float | None:
     """
     w = spec.s_evals
     support = spec.s_support(rank_tol)
-    if spec.k_norm > 0.0 and _range_holds(y[~support], spec.k_norm):
+    if _norm_at_most(y[~support], RANGE_INCLUSION_RTOL * spec.k_norm):
         denom = linops.op_norm(y[support] / np.sqrt(w[support])[:, np.newaxis])
         if denom > 0.0:
             return 1.0 / (denom * denom)

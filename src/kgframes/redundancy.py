@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
         if dead:
             lowers.append(None)
             continue
-        red = spec._with_rows(ksys.system.matrix[~rows])
+        red = replace(spec, rows=ksys.system.matrix[~rows])
         lowers.append(_kg_lower(red, red.k_rows(), rank_tol))
     return lowers
 

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import stat
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -212,8 +213,9 @@ def _write_json(doc: dict, path) -> str:
     """Write ``doc`` to ``path`` by way of a new file beside it that then
     replaces it: on any exception the old file keeps its bytes and the new
     one is removed. Anything but a new path or a regular file with one link
-    (a symlink, a hard link, ``/dev/stdout``, a pipe) is written through as
-    ``open(path, "w")`` writes it; permissions and error text are as ``open``'s too.
+    (a symlink, a hard link, a pipe) is written through as ``open(path, "w")``
+    writes it, and stdout's own file through stdout's descriptor, after what
+    stdout holds; permissions and error text are as ``open``'s too.
     Returns the sha256 hex digest of the bytes, taken as they are written."""
     digest = hashlib.sha256()
 
@@ -225,8 +227,9 @@ def _write_json(doc: dict, path) -> str:
     tmp = None
     try:
         st = os.lstat(path) if os.path.lexists(path) else None
-        if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
-            with open(path, "wb") as fh:
+        fd = _stdout_fd(path)  # a new open would write at offset 0, a replace orphan stdout
+        if fd is not None or (st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1)):
+            with open(path if fd is None else fd, "wb", closefd=fd is None) as fh:
                 _dump_json(doc, write)
         else:
             if st is not None:
@@ -247,6 +250,18 @@ def _write_json(doc: dict, path) -> str:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
     return digest.hexdigest()
+
+
+def _stdout_fd(path) -> int | None:
+    """The descriptor of ``sys.stdout``, flushed, if ``path`` names the file it has open."""
+    try:
+        fd = sys.stdout.fileno()
+        if not os.path.samestat(os.stat(path), os.fstat(fd)):
+            return None
+    except (AttributeError, OSError, ValueError):  # no descriptor, or no file at path
+        return None
+    sys.stdout.flush()  # what stdout already holds comes first
+    return fd
 
 
 def _read_json(path, version: str) -> dict:

@@ -628,6 +628,73 @@ def test_a_system_written_to_stdout_is_digested_from_the_bytes_written(tmp_path)
     assert report["payload"]["sha256"] == hashlib.sha256(system.encode()).hexdigest()
 
 
+@pytest.mark.parametrize("output, redirect", [
+    ("/dev/stdout", ">"), ("/dev/stdout", ">>"), ("out.txt", ">"),
+], ids=["dev_stdout_truncate", "dev_stdout_append", "same_file"])
+def test_an_output_that_is_stdout_s_own_file_gets_the_system_then_the_report(
+        tmp_path, output, redirect):
+    # as `kgframes dual sys.json -o <output> <redirect> out.txt` in a shell, whose
+    # stdout is block-buffered: a second open of the file would start at offset 0
+    sys_path, out = tmp_path / "sys.json", tmp_path / "out.txt"
+    save_system(random_instance(115), sys_path)
+    out.write_text("an earlier line\n")
+    flags = os.O_WRONLY | (os.O_APPEND if redirect == ">>" else os.O_TRUNC)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    stdout = os.open(out, flags)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgframes.cli", "dual", str(sys_path),
+             "-o", str(tmp_path / output) if output == "out.txt" else output],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text()
+    earlier = "an earlier line\n" if redirect == ">>" else ""
+    assert text.startswith(earlier)
+    text = text[len(earlier):]
+    system, end = json.JSONDecoder().raw_decode(text)
+    report = json.loads(text[end + 1:])
+    assert system["version"] == "kgframes.system/1"
+    assert report["payload"]["kind"] == "dual"
+    assert report["payload"]["sha256"] == hashlib.sha256(text[:end + 1].encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, svds, eighs", [
+    ("bounds", 1, 1), ("classify", 1, 1), ("dual", 1, 1), ("defect", 1, 0),
+    ("exactify", 1, 0), ("neumann-dual", 1, 0), ("reconstruct", 1, 0),
+])
+def test_each_command_factors_k_once_and_s_only_if_it_reads_it(
+        tmp_path, capsys, monkeypatch, command, svds, eighs):
+    ksys = random_kg_system(8, [3, 3, 3, 3], 4, seed=1)
+    sys_path, cand, vec, out = (str(tmp_path / f"{name}.json") for name in ("sys", "cand", "vec", "out"))
+    save_system(ksys, sys_path)
+    save_system(KGSystem(perturbed_dual(ksys, 0.5, seed=0), ksys.k), cand)
+    save_vector(np.array(ksys.k) @ np.ones(8), vec)
+    argv = {
+        "bounds": [sys_path], "classify": [sys_path], "dual": [sys_path, "-o", out],
+        "defect": [sys_path, cand], "exactify": [sys_path, cand, "-o", out],
+        "neumann-dual": [sys_path, cand, "--N", "3", "-o", out],
+        "reconstruct": [sys_path, cand, "--vec", vec],
+    }[command]
+    calls = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append(("svd", np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append(("eigh", np.shape(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 0, err
+    assert sorted(calls) == sorted([("svd", (8, 8), True)] * svds + [("eigh", (8, 8))] * eighs)
+
+
 def test_an_input_that_is_not_a_regular_file_is_rejected(tmp_path):
     path = tmp_path / "sys.json"
     save_system(random_instance(114), path)

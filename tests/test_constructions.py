@@ -291,6 +291,36 @@ def test_tight_relation_decides_scalar_as_classify_does():
     assert rep.iff_consistent
 
 
+def test_tightness_relative_to_k_is_decided_in_the_operator_norm():
+    # S = diag(w) with one eigenvalue 5e-8 above the rest and K = I: ||S - I||
+    # is 5e-8 ||S||, so neither S nor S relative to K is tight, though the
+    # Frobenius distance, 5e-8 against ||S||_F = 10, is within TIGHT_RTOL
+    w = np.ones(100)
+    w[-1] += 5e-8
+    ksys = KGSystem(GSystem(100, (np.diag(np.sqrt(w)),)), np.eye(100))
+    rep = classify(ksys)
+    assert rep.label is Classification.G_FRAME
+    assert not rep.bounds.tight_kg
+    with pytest.raises(NotTightError):
+        tight_relation_check(ksys)
+
+
+def test_at_k_the_identity_tightness_relative_to_k_is_g_tightness():
+    # near-scalar S, K = I: the tight-g label and tight_kg must agree
+    rng = np.random.default_rng(20261019)
+    for _ in range(600):
+        n = int(rng.integers(2, 65))
+        w = np.ones(n)
+        moved = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        w[moved] += rng.choice([-1.0, 1.0], size=moved.size) * 10.0 ** rng.uniform(-10, -6, moved.size)
+        block = np.sqrt(10.0 ** rng.uniform(-3, 3) * w)[:, np.newaxis] * _unitary(rng, n)
+        ksys = KGSystem(GSystem(n, (block,)), np.eye(n))
+        rep = classify(ksys)
+        assert rep.bounds.tight_kg == (rep.label is Classification.TIGHT_G_FRAME), w
+        if rep.bounds.tight_kg:
+            assert tight_relation_check(ksys).iff_consistent, w
+
+
 def _unitary(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

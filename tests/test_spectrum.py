@@ -5,10 +5,12 @@ against the independent oracles on edge inputs, against metamorphic
 relations (block permutation, unitaries on the coefficient spaces,
 rescaling), and, for the duals that take a raw K, against the n x n
 projector formulas. The duals read K's range basis from the spectrum of the
-live system that owns the K they are given, and factor any other K per call.
+live system that owns the K they are given, which factors K once and S only
+when a consumer reads it, and give any other K an owner for the call.
 """
 
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -374,29 +376,58 @@ def test_defect_on_a_fresh_system_factors_only_k(monkeypatch):
     counts = _count_decompositions(monkeypatch)
     svds = _record_svds(monkeypatch)
     cert = approx_defect(fresh.system, candidate, fresh.k)
-    assert counts["eigh"] == counts["eigvalsh"] == 0
-    assert svds == [((16, 16), True)]  # the per-call factorization of K
-    assert "spectrum" not in fresh.__dict__
+    assert svds == [((16, 16), True)]  # K, factored into the owner's spectrum
+    assert approx_defect(fresh.system, candidate, fresh.k) == cert
+    assert svds == [((16, 16), True)]  # and not again
+    assert counts["eigh"] == counts["eigvalsh"] == 0  # S is not factored
     assert cert == approx_defect(ksys.system, candidate, ksys.k)
+
+
+def test_an_owned_k_is_factored_once_whatever_the_call_order(monkeypatch):
+    ksys, candidate, target = _dual_inputs()
+    duals = {
+        "approx_defect": lambda s: approx_defect(s.system, candidate, s.k),
+        "exactify_dual": lambda s: exactify_dual(s.system, candidate, s.k),
+        "neumann_reconstruct": lambda s: neumann_reconstruct(s.system, candidate, s.k, target),
+    }
+    calls = {**duals, "optimal_bounds": optimal_bounds, "canonical_kg_dual": canonical_kg_dual}
+    counts = _count_decompositions(monkeypatch)
+    svds = _record_svds(monkeypatch)
+    for order in itertools.permutations(calls):
+        fresh = KGSystem(ksys.system, ksys.k)  # owns a new K, nothing cached yet
+        before, eighs = len(svds), counts["eigh"]
+        for name in order:
+            seen = counts["eigh"]
+            calls[name](fresh)
+            if name in duals:
+                assert counts["eigh"] == seen, order  # a dual call never factors S
+        assert svds[before:] == [((16, 16), True)], order
+        assert counts["eigh"] - eighs == 1, order
 
 
 def test_a_copy_of_k_gives_the_same_results_to_the_bit():
     ksys, candidate, target = _dual_inputs()
-    owned, copy = ksys.k, np.array(ksys.k)
+    system, copy = ksys.system, np.array(ksys.k)
     assert copy.flags.writeable
-    system = ksys.system
+
+    def results(call):
+        """``call(k)`` for the K of a new owner whose spectrum was never
+        computed (alive for the call), the owned K and a copy."""
+        fresh = KGSystem(system, copy)
+        return [call(k) for k in (fresh.k, ksys.k, copy)]
+
     # a tolerance below machine precision, 0 included, selects machine precision
     for rank_tol in (1e-10, 1e-3, 0.0, 1e-17, 1e-300):
-        assert (approx_defect(system, candidate, owned, rank_tol=rank_tol)
-                == approx_defect(system, candidate, copy, rank_tol=rank_tol))
-    assert np.array_equal(exactify_dual(system, candidate, owned).matrix,
-                          exactify_dual(system, candidate, copy).matrix)
-    assert np.array_equal(truncated_neumann_dual(system, candidate, owned, 3).matrix,
-                          truncated_neumann_dual(system, candidate, copy, 3).matrix)
-    a = neumann_reconstruct(system, candidate, owned, target, num_steps=8)
-    b = neumann_reconstruct(system, candidate, copy, target, num_steps=8)
-    assert a.errors == b.errors
-    assert all(np.array_equal(x, y) for x, y in zip(a.iterates, b.iterates))
+        first, *rest = results(lambda k: approx_defect(system, candidate, k, rank_tol=rank_tol))
+        assert all(cert == first for cert in rest)
+    for call in (lambda k: exactify_dual(system, candidate, k),
+                 lambda k: truncated_neumann_dual(system, candidate, k, 3)):
+        first, *rest = results(call)
+        assert all(np.array_equal(dual.matrix, first.matrix) for dual in rest)
+    first, *rest = results(lambda k: neumann_reconstruct(system, candidate, k, target, num_steps=8))
+    for trace in rest:
+        assert trace.errors == first.errors
+        assert all(np.array_equal(x, y) for x, y in zip(trace.iterates, first.iterates))
 
 
 def test_k_of_a_collected_system_is_factored_per_call(monkeypatch):
