@@ -263,22 +263,11 @@ def main(argv=None) -> int:
             "payload": payload,
             "wall_time_s": time.perf_counter() - started,
         }
-        if args.output is not None and not writes_system:
-            serialization._write_json(report, args.output)
-        else:
-            try:
-                serialization._dump_json(report, sys.stdout.write)
-                sys.stdout.flush()
-            except OSError as exc:
-                # drop what stdout still holds, or the flush at exit fails again (status 120)
-                with contextlib.suppress(AttributeError, OSError, ValueError):  # no fileno
-                    fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-                    os.dup2(devnull, fd)
-                    os.close(devnull)
-                raise InputError(f"cannot write the report to stdout: {exc}") from exc
+        serialization._write_json(report, sys.stdout if writes_system or args.output is None else args.output)
     except (InputError, ComputationError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-        serialization._dump_json({**head, "error": error}, sys.stderr.write)
+        with contextlib.suppress(InputError):  # stderr closed or unwritable: the exit code still tells
+            serialization._write_json({**head, "error": error}, sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
     return 0
 

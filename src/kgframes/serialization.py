@@ -1,8 +1,8 @@
 """JSON interchange for systems, vectors, and frame families.
 
 Complex matrices are stored as row-major lists of ``[re, im]`` pairs so
-files stay language neutral and diff friendly. Every file and report is
-written by one private writer whose bytes are those of
+files stay language neutral and diff friendly. Every file, report and error
+report is written by one private writer whose bytes are those of
 ``json.dumps(doc, indent=1)`` plus a newline. It writes the ``[re, im]``
 pairs of each finite matrix straight from the array, with one join over
 ``float.__repr__``: the shortest text that parses back to the same double,
@@ -209,42 +209,54 @@ def _dump_json(doc, write) -> None:
     write("\n")
 
 
-def _write_json(doc: dict, path) -> str:
-    """Write ``doc`` to ``path`` by way of a new file beside it that then
-    replaces it: on any exception the old file keeps its bytes and the new
-    one is removed. Anything but a new path or a regular file with one link
-    (a symlink, a hard link, a pipe) is written through as ``open(path, "w")``
-    writes it, and stdout's own file through stdout's descriptor, after what
-    stdout holds; permissions and error text are as ``open``'s too.
-    Returns the sha256 hex digest of the bytes, taken as they are written."""
+def _write_json(doc: dict, target) -> str:
+    """Write ``doc`` to ``sys.stdout``, ``sys.stderr`` or a path. A stream, or
+    a path naming the file one of them has open, is written through that
+    stream after what it holds. Any other path is replaced by a new file
+    written beside it, so that on any exception it keeps its bytes, unless it
+    is not a regular file with one link (a symlink, a hard link, a pipe,
+    ``/dev/fd/3``): that is written through as ``open(path, "w")`` opens it.
+    Permissions and error text are ``open``'s. A closed stream (None) or an
+    ``OSError`` is an InputError naming the stream or path; what a failed
+    stream holds goes to ``os.devnull``, so the flush at exit cannot fail
+    again. Returns the sha256 hex digest of the bytes as they are written."""
     digest = hashlib.sha256()
 
     def write(chunk: str) -> None:
-        data = chunk.encode()  # ASCII: json.dumps escapes everything else
-        digest.update(data)
-        fh.write(data)
+        digest.update(chunk.encode())  # ASCII: json.dumps escapes everything else
+        fh.write(chunk)
 
+    stream, fh = _stream(target)  # a new open would write at offset 0, a replace orphan the stream
+    if stream and fh is None:
+        raise InputError(f"cannot write {stream}: it is closed")
     tmp = None
     try:
-        st = os.lstat(path) if os.path.lexists(path) else None
-        fd = _stdout_fd(path)  # a new open would write at offset 0, a replace orphan stdout
-        if fd is not None or (st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1)):
-            with open(path if fd is None else fd, "wb", closefd=fd is None) as fh:
+        st = os.lstat(target) if not stream and os.path.lexists(target) else None
+        if stream:
+            _dump_json(doc, write)
+            fh.flush()
+        elif st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
+            with open(target, "w", encoding="utf-8") as fh:
                 _dump_json(doc, write)
         else:
             if st is not None:
-                os.close(os.open(path, os.O_WRONLY))  # fail where open(path, "w") fails
-            name = f"{path}.{os.urandom(6).hex()}.tmp"
-            with open(name, "xb") as fh:  # mode 0o666 less the umask, as open(path, "w")
+                os.close(os.open(target, os.O_WRONLY))  # fail where open(path, "w") fails
+            name = f"{target}.{os.urandom(6).hex()}.tmp"
+            with open(name, "x", encoding="utf-8") as fh:  # mode 0o666 less the umask, as open(path, "w")
                 tmp = name
                 if st is not None:
                     os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))  # the mode open() keeps
                 _dump_json(doc, write)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
             tmp = None
     except OSError as exc:
-        reason = OSError(exc.errno, exc.strerror, os.fspath(path)) if exc.filename else exc
-        raise InputError(f"cannot write {path}: {reason}") from exc
+        if stream:
+            with contextlib.suppress(OSError, ValueError):  # no descriptor
+                fd, devnull = fh.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        reason = OSError(exc.errno, exc.strerror, os.fspath(target)) if exc.filename else exc
+        raise InputError(f"cannot write {stream or target}: {reason}") from exc
     finally:
         if tmp is not None:
             with contextlib.suppress(OSError):
@@ -252,16 +264,14 @@ def _write_json(doc: dict, path) -> str:
     return digest.hexdigest()
 
 
-def _stdout_fd(path) -> int | None:
-    """The descriptor of ``sys.stdout``, flushed, if ``path`` names the file it has open."""
-    try:
-        fd = sys.stdout.fileno()
-        if not os.path.samestat(os.stat(path), os.fstat(fd)):
-            return None
-    except (AttributeError, OSError, ValueError):  # no descriptor, or no file at path
-        return None
-    sys.stdout.flush()  # what stdout already holds comes first
-    return fd
+def _stream(target) -> tuple:
+    """``(name, stream)`` if ``target`` is sys.stdout or sys.stderr or names its file, else Nones."""
+    for name in ("stdout", "stderr"):
+        fh = getattr(sys, name)
+        with contextlib.suppress(OSError, TypeError, ValueError):  # not a path; no such file or descriptor
+            if target is fh or fh is not None and os.path.samestat(os.stat(target), os.fstat(fh.fileno())):
+                return name, fh
+    return None, None
 
 
 def _read_json(path, version: str) -> dict:

@@ -1,4 +1,5 @@
-"""Independent oracles and instance generators shared by the test suite.
+"""Independent oracles, instance generators and a failing stream shared by
+the test suite.
 
 Everything here sticks to plain numpy so the quantities under test
 (pseudoinverse factors, Douglas-style bounds, survival flags) are checked
@@ -6,6 +7,10 @@ against a second, structurally different computation.
 """
 
 from __future__ import annotations
+
+import errno
+import io
+import os
 
 import numpy as np
 
@@ -249,3 +254,10 @@ def projector_neumann_factor_of(
         term = q @ term
         acc += term
     return acc
+
+
+class FullStream(io.TextIOBase):
+    """A text stream on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

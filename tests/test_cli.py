@@ -1,8 +1,6 @@
 """End-to-end tests for the command-line driver."""
 
-import errno
 import hashlib
-import io
 import json
 import os
 import re
@@ -34,7 +32,7 @@ from kgframes.duals import DUAL_EXACT_TOL
 from kgframes.linops import DEFAULT_RANK_TOL
 from kgframes.serialization import REPORT_FILE_SCHEMA
 
-from oracles import random_instance, random_range_vector
+from oracles import FullStream, random_instance, random_range_vector
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -568,22 +566,15 @@ def test_usage_errors_are_json_input_error_reports(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
-class _FullStream(io.TextIOBase):
-    """A text stream on a full device: every write fails with ENOSPC."""
-
-    def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
 def test_a_report_that_cannot_be_written_to_stdout_is_an_input_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sys.json"
     save_system(random_instance(112), path)
-    monkeypatch.setattr(sys, "stdout", _FullStream())
+    monkeypatch.setattr(sys, "stdout", FullStream())
     code = main(["bounds", str(path)])
     assert code == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["type"] == "InputError"
-    assert error["message"].startswith("cannot write the report to stdout: ")
+    assert error["message"].startswith("cannot write stdout: ")
 
 
 def _cli_process(*argv, **kwargs):
@@ -591,28 +582,62 @@ def _cli_process(*argv, **kwargs):
                           capture_output=True, timeout=60, **kwargs)
 
 
-@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
-def test_a_process_whose_stdout_fails_exits_two_with_one_error_document(tmp_path, target):
-    # stdout block-buffered, as in a shell: the bytes it held must not be flushed
-    # again at exit, which would print a second message and exit 120
+def _cli_process_with_a_failing_stream(fd, fault, *argv):
+    """Run the CLI with descriptor ``fd`` (1 or 2) on /dev/full, on a pipe whose
+    reader has gone, or closed, and the other one piped. stdout is
+    block-buffered, as in a shell: the bytes it held must not be flushed again
+    at exit, which would print a second message and exit 120."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if fault == "closed pipe":
+        read_end, target = os.pipe()
+        os.close(read_end)
+    else:  # a "closed" descriptor is os.devnull until the child closes it, before the CLI starts
+        target = os.open(fault if fault == "/dev/full" else os.devnull, os.O_WRONLY)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    streams["stdout" if fd == 1 else "stderr"] = target
+    try:
+        return subprocess.run([sys.executable, "-m", "kgframes.cli", *argv], env=env, timeout=60,
+                              preexec_fn=(lambda: os.close(fd)) if fault == "closed" else None,
+                              **streams)
+    finally:
+        os.close(target)
+
+
+@pytest.mark.parametrize("fault", ["/dev/full", "closed pipe", "closed"])
+def test_a_process_whose_stdout_fails_exits_two_with_one_error_document(tmp_path, fault):
     path = tmp_path / "sys.json"
     save_system(random_instance(112), path)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if target == "closed pipe":
-        read_end, stdout = os.pipe()
-        os.close(read_end)
-    else:
-        stdout = os.open(target, os.O_WRONLY)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "kgframes.cli", "bounds", str(path)],
-                              stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(stdout)
+    proc = _cli_process_with_a_failing_stream(1, fault, "bounds", str(path))
     assert proc.returncode == 2, proc.stderr
     report = json.loads(proc.stderr)
     assert proc.stderr.decode() == json.dumps(report, indent=1) + "\n"  # exactly one document
     assert report["error"]["type"] == "InputError"
-    assert report["error"]["message"].startswith("cannot write the report to stdout: ")
+    assert report["error"]["message"].startswith("cannot write stdout: ")
+
+
+@pytest.mark.parametrize("fault", ["/dev/full", "closed"])
+def test_a_process_whose_stderr_fails_still_exits_by_the_error_type(tmp_path, fault):
+    proc = _cli_process_with_a_failing_stream(2, fault, "bounds", str(tmp_path / "missing.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
+def test_a_report_to_stderr_s_own_file_follows_what_the_file_held(tmp_path):
+    # as `kgframes bounds sys.json -o /dev/stderr 2>> log`: a new open would truncate log
+    sys_path, log = tmp_path / "sys.json", tmp_path / "log"
+    save_system(random_instance(115), sys_path)
+    log.write_text("an earlier line\n")
+    stderr = os.open(log, os.O_WRONLY | os.O_APPEND)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgframes.cli", "bounds", str(sys_path), "-o", "/dev/stderr"],
+            stdout=subprocess.PIPE, stderr=stderr, timeout=60)
+    finally:
+        os.close(stderr)
+    assert proc.returncode == 0 and proc.stdout == b""
+    earlier, text = log.read_text().split("\n", 1)
+    assert earlier == "an earlier line"
+    assert json.loads(text)["payload"]["kind"] == "bounds"
 
 
 def test_a_system_written_to_stdout_is_digested_from_the_bytes_written(tmp_path):

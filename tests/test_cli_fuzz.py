@@ -4,8 +4,12 @@ Starting from small valid input files and command lines, either one input
 file's JSON or the command line itself is mutated. Whatever the mutation, ``main``
 returns 0, 1 or 2; on 0 it writes one report, and on 1 or 2 it writes
 nothing to stdout and one error report naming a library error to stderr.
-Numbers put into files stay within +-1e6: how the numerics behave at extreme
-magnitudes is a separate question.
+Every example that succeeds runs again with each of stdout and stderr
+closed (None) and failing every write, and one in four of the others with
+one of these: the exit code is still the one the error's type sets, and a
+report that stdout cannot take is an InputError. Numbers put into files
+stay within +-1e6: how the numerics behave at extreme magnitudes is a
+separate question.
 """
 
 import contextlib
@@ -32,6 +36,7 @@ from kgframes import (
 )
 from kgframes import cli
 from kgframes.serialization import REPORT_FILE_SCHEMA, REPORT_SCHEMA_VERSION
+from oracles import FullStream
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -64,6 +69,8 @@ TOKENS = (
     "0", "1", "2", "-1", "0.5", "1e-3", "nan", "inf", "x", "2,1,2", "-1,6", "",
 )
 UNOFFERED = (("--tol-dual", "1e-6"), ("--tol-rank", "0.5"), ("--bogus",), ("--N", "2"))
+# A stream that fails: full (every write raises OSError) or closed (None).
+FAULTS = tuple((name, how) for name in ("stdout", "stderr") for how in ("full", "closed"))
 
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(-1e6, 1e6),
@@ -147,17 +154,27 @@ def test_every_outcome_is_a_report_or_one_typed_error_report(base_texts, data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {key: str(Path(tmp) / f"{key.lower()}.json") for key in (*INPUTS, "OUT", "MISSING")}
         paths["DIR"] = tmp
-        for key in INPUTS:
-            Path(paths[key]).write_text(texts[key])
         argv = [paths.get(token, token) for token in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                raise AssertionError(f"SystemExit({exc.code}) left main for {argv}") from exc
-        out, err = out.getvalue(), err.getvalue()
 
+        def run(fault):
+            """Exit code, stdout and stderr of ``main`` on fresh input files."""
+            for key in INPUTS:
+                Path(paths[key]).write_text(texts[key])
+            for key in ("OUT", "MISSING"):
+                Path(paths[key]).unlink(missing_ok=True)
+            streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+            if fault is not None:
+                streams[fault[0]] = FullStream() if fault[1] == "full" else None
+            with contextlib.redirect_stdout(streams["stdout"]), \
+                    contextlib.redirect_stderr(streams["stderr"]):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    raise AssertionError(f"SystemExit({exc.code}) left main for {argv}") from exc
+            return code, *(s.getvalue() if isinstance(s, io.StringIO) else None
+                           for s in streams.values())
+
+        code, out, err = run(None)
         assert code in (0, 1, 2), argv
         if code == 0:
             assert err == ""
@@ -170,9 +187,29 @@ def test_every_outcome_is_a_report_or_one_typed_error_report(base_texts, data):
             jsonschema.validate(json.loads(text), REPORT_FILE_SCHEMA)
         else:
             assert out == ""
-            report = json.loads(err)
-            assert err == json.dumps(report, indent=1) + "\n"  # one document
-            assert report["version"] == REPORT_SCHEMA_VERSION
-            kind = getattr(errors, report["error"]["type"], None)
-            expected = errors.InputError if code == 2 else errors.ComputationError
-            assert isinstance(kind, type) and issubclass(kind, expected), (argv, report)
+            _check_error_report(err, code, argv)
+        # a run that succeeded runs again with each failing stream, any other one time in four
+        faults = FAULTS if code == 0 else (data.draw(st.sampled_from((None,) * 12 + FAULTS)),)
+        for fault in filter(None, faults):
+            faulty_code, faulty_out, faulty_err = run(fault)
+            if fault[0] == "stdout" and code == 0 and out:
+                assert faulty_code == 2, argv
+                message = _check_error_report(faulty_err, faulty_code, argv)["error"]["message"]
+                assert message.startswith("cannot write stdout: "), (argv, message)
+            else:
+                assert faulty_code == code, (argv, fault)
+                if fault[0] == "stdout":  # nothing was written to stdout
+                    assert faulty_err == err, argv
+                else:
+                    assert (faulty_out == "") == (out == ""), argv
+
+
+def _check_error_report(err: str, code: int, argv) -> dict:
+    """``err`` is one error document whose error type sets exit ``code``."""
+    report = json.loads(err)
+    assert err == json.dumps(report, indent=1) + "\n"  # one document
+    assert report["version"] == REPORT_SCHEMA_VERSION
+    kind = getattr(errors, report["error"]["type"], None)
+    expected = errors.InputError if code == 2 else errors.ComputationError
+    assert isinstance(kind, type) and issubclass(kind, expected), (argv, report)
+    return report
