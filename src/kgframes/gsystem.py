@@ -204,15 +204,17 @@ class KGSpectrum:
         """
         return float(self.k_svals[-1]) if self.k_rank(tol) == self.k_svals.size else 0.0
 
-    def k_rows(self, rows=slice(None)) -> np.ndarray:
-        """The given rows of K, up to a unitary on the right, in the eigenbasis V of S.
+    def k_in(self, vecs: np.ndarray) -> np.ndarray:
+        """K, up to a unitary on the right, in the orthonormal columns of ``vecs``.
+
+        ``vecs`` may be a stack of such matrices, giving one K per matrix.
 
         Computed as (V^* U) diag(sigma) from the SVD K = U diag(sigma) W^*
         over the kept range basis, so row i is the component of K along the
-        i-th eigenvector of S.
+        i-th column of V; with V the eigenvectors of S, K in S's eigenbasis.
         """
         basis = self.k_range_basis
-        return (self.s_evecs[:, rows].conj().T @ basis) * self.k_svals[: basis.shape[1]]
+        return (np.swapaxes(vecs.conj(), -1, -2) @ basis) * self.k_svals[: basis.shape[1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,9 +337,11 @@ def frame_operator(sys: GSystem) -> np.ndarray:
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    """M^* M, symmetrized: the frame operator of the stacked rows ``m``."""
-    s = m.conj().T @ m
-    return (s + s.conj().T) / 2.0
+    """M^* M, symmetrized: the frame operator of the stacked rows ``m``, or of each matrix of a stack."""
+    s = np.swapaxes(m.conj(), -1, -2) @ m
+    s += np.swapaxes(s.conj(), -1, -2)
+    s /= 2.0
+    return s
 
 
 def _norm_at_most(x: np.ndarray, limit: float) -> bool:
@@ -355,7 +359,8 @@ def _norm_at_most(x: np.ndarray, limit: float) -> bool:
 def range_condition_holds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether range(K) is contained in range(S) at the working tolerance."""
     spec = ksys.spectrum
-    return _norm_at_most(spec.k_rows(~spec.s_support(rank_tol)), RANGE_INCLUSION_RTOL * spec.k_norm)
+    outside = spec.k_in(spec.s_evecs[:, ~spec.s_support(rank_tol)])
+    return _norm_at_most(outside, RANGE_INCLUSION_RTOL * spec.k_norm)
 
 
 def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
@@ -387,8 +392,8 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundR
     bessel = max(float(w[-1]), 0.0)
     g_lower = max(float(w[0]), 0.0)
 
-    y = spec.k_rows()
-    kg_lower = _kg_lower(spec, y, rank_tol)
+    y = spec.k_in(spec.s_evecs)
+    kg_lower = _kg_lower(w[np.newaxis], y[np.newaxis], spec.k_norm, rank_tol)[0]
 
     tight = False
     if kg_lower is not None:
@@ -400,19 +405,32 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundR
     return BoundReport(bessel, g_lower, kg_lower, tight, kg_lower if tight else None)
 
 
-def _kg_lower(spec: KGSpectrum, y: np.ndarray, rank_tol: float) -> float | None:
-    """The optimal lower bound relative to K, None when range(K) is not in range(S).
+def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> list[float | None]:
+    """The optimal lower bound relative to K of each system of a stack, None
+    where range(K) is not in range(S).
 
-    ``y`` is ``spec.k_rows()``, K in the eigenbasis of S, so S^{+/2} K is its
-    support rows over sqrt(w).
+    Row i of ``w`` holds the eigenvalues of one frame operator, ascending, and
+    ``y[i]`` is K in its eigenbasis (:meth:`KGSpectrum.k_in`), so S^{+/2} K
+    is the support rows of ``y[i]`` over sqrt(w). The support, the eigenvalues
+    above the rank cutoff, is a suffix of each row; the systems of one support
+    size share one stacked SVD, taken by ``np.linalg.norm``, for the norm of
+    S^{+/2} K.
     """
-    w = spec.s_evals
-    support = spec.s_support(rank_tol)
-    if _norm_at_most(y[~support], RANGE_INCLUSION_RTOL * spec.k_norm):
-        denom = linops.op_norm(y[support] / np.sqrt(w[support])[:, np.newaxis])
-        if denom > 0.0:
-            return 1.0 / (denom * denom)
-    return None
+    n = w.shape[1]
+    support = w > linops.rank_cutoff(1.0, n, rank_tol) * np.maximum(w[:, -1:], 0.0)
+    sizes = np.count_nonzero(support, axis=1)
+    limit = RANGE_INCLUSION_RTOL * k_norm
+    # a full support leaves no rows outside it, and an empty residual passes
+    holds = np.array([size == n or _norm_at_most(rows[~mask], limit)
+                      for size, rows, mask in zip(sizes, y, support)], dtype=bool)
+    lowers: list[float | None] = [None] * len(w)
+    for size in set(sizes[holds].tolist()):
+        members = np.flatnonzero(holds & (sizes == size))
+        a = y[members, n - size:] / np.sqrt(w[members, n - size:])[..., np.newaxis]
+        for i, denom in zip(members, np.linalg.norm(a, 2, axis=(-2, -1)).tolist()):
+            if denom > 0.0:
+                lowers[i] = 1.0 / (denom * denom)
+    return lowers
 
 
 def _is_scalar(top: float, bottom: float) -> bool:

@@ -7,16 +7,18 @@ operator and decides survival through T = I - S^{-1} S_I. The brute-force
 path computes optimal bounds of the reduced system and is the ground truth
 the criteria are judged against. A removal that the full system's cached
 factorization proves fatal (range(K) cannot lie in the range of the reduced
-frame operator) is reported with no n x n work; every other reduced bound
+frame operator) is reported with no n x n work. Every other reduced bound
 comes from one eigendecomposition of the kept rows' frame operator, paired
-with the full system's cached factorization of K, which every subset shares.
+with the full system's cached factorization of K, which every subset shares;
+a removal of no rows reads S's own eigendecomposition from that cache. The
+search takes every index set in one stacked pass per kept-row count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,12 +78,20 @@ def _validate_indices(num_blocks: int, indices) -> tuple[int, ...]:
     return tuple(sorted(idx))
 
 
+def _removed_rows(sys: GSystem, subsets) -> np.ndarray:
+    """Masks of the stacked rows each index set removes, one index set per row.
+
+    Built at once from the set x block incidence, repeated over the block dims.
+    """
+    hit = np.zeros((len(subsets), sys.num_blocks), dtype=bool)
+    hit[np.repeat(np.arange(len(subsets)), [len(idx) for idx in subsets]),
+        list(itertools.chain.from_iterable(subsets))] = True
+    return np.repeat(hit, sys.block_dims, axis=1)
+
+
 def _block_rows(sys: GSystem, idx: tuple[int, ...]) -> np.ndarray:
     """Mask of the stacked rows that belong to the blocks in ``idx``."""
-    mask = np.zeros(sys.offsets[-1], dtype=bool)
-    for j in idx:
-        mask[sys.offsets[j] : sys.offsets[j + 1]] = True
-    return mask
+    return _removed_rows(sys, [idx])[0]
 
 
 def partial_frame_operator(sys: GSystem, indices) -> np.ndarray:
@@ -101,26 +111,36 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
     """``optimal_bounds(reduced_system(ksys, idx)).kg_lower_opt`` for each index set.
 
     No reduced system is built. A removal that :func:`_fatal_removals` proves
-    fatal is None; every other takes one ``eigh`` of its kept rows' frame
-    operator, and K's factorization comes from the full system's spectrum.
+    fatal is None. The others are taken in one stacked pass per kept-row
+    count: one product forms their frame operators and each takes one
+    ``eigh``, except that a removal of no rows reads S's own from the spectrum.
+    K's factorization comes from the full system's spectrum, which every
+    subset shares.
     """
     spec = ksys.spectrum
-    removed = [_block_rows(ksys.system, idx) for idx in subsets]
-    fatal = _fatal_removals(ksys, removed, rank_tol)
-    lowers: list[float | None] = []
-    for rows, dead in zip(removed, fatal):
-        if dead:
-            lowers.append(None)
-            continue
-        red = replace(spec, rows=ksys.system.matrix[~rows])
-        lowers.append(_kg_lower(red, red.k_rows(), rank_tol))
+    l = ksys.system.matrix
+    removed = _removed_rows(ksys.system, subsets)
+    kept = l.shape[0] - np.count_nonzero(removed, axis=1)
+    live = ~_fatal_removals(ksys, removed, rank_tol)
+    lowers: list[float | None] = [None] * len(subsets)
+    for count in set(kept[live].tolist()):
+        members = np.flatnonzero(live & (kept == count))
+        if count == l.shape[0]:
+            pairs = [(spec.s_evals, spec.s_evecs)] * len(members)
+        else:
+            rows = np.nonzero(~removed[members])[1].reshape(len(members), count)
+            pairs = [np.linalg.eigh(g) for g in _gram(l[rows])]
+        w, v = (np.array(part) for part in zip(*pairs))
+        for i, lower in zip(members, _kg_lower(w, spec.k_in(v), spec.k_norm, rank_tol)):
+            lowers[i] = lower
     return lowers
 
 
-def _fatal_removals(ksys: KGSystem, removed: list[np.ndarray], rank_tol: float) -> np.ndarray:
+def _fatal_removals(ksys: KGSystem, removed, rank_tol: float) -> np.ndarray:
     """Mask of the removals whose reduced system provably has no bound relative to K.
 
-    ``removed`` holds one mask of removed stacked rows per removal. Only
+    ``removed`` holds one mask of removed stacked rows per removal: an array
+    with one removal per row, or a list of masks. Only
     removals that leave fewer rows than the ambient dimension n are tried,
     since only they are sure to leave a kernel, and only when S is
     invertible at ``rank_tol`` and K != 0; every other entry is False.
@@ -141,13 +161,11 @@ def _fatal_removals(ksys: KGSystem, removed: list[np.ndarray], rank_tol: float) 
     spec = ksys.spectrum
     l = ksys.system.matrix
     num_rows, n = l.shape
+    removed = np.asarray(removed, dtype=bool).reshape(len(removed), num_rows)
+    gone_rows = np.count_nonzero(removed, axis=1)
+    tried = (gone_rows > 0) & (num_rows - gone_rows < n)
     fatal = np.zeros(len(removed), dtype=bool)
-    groups: dict[int, list[int]] = {}
-    for i, rows in enumerate(removed):
-        q = int(np.count_nonzero(rows))
-        if 0 < q and num_rows - q < n:
-            groups.setdefault(q, []).append(i)
-    if not groups or spec.k_norm == 0.0 or not spec.s_support(rank_tol).all():
+    if not tried.any() or spec.k_norm == 0.0 or not spec.s_support(rank_tol).all():
         return fatal
     v = spec.s_evecs
     fh = ((l @ v) / spec.s_evals) @ v.conj().T  # F^* = L S^{-1}
@@ -156,8 +174,9 @@ def _fatal_removals(ksys: KGSystem, removed: list[np.ndarray], rank_tol: float) 
     k_norm = spec.k_norm
     cut = linops.rank_cutoff(1.0, n, rank_tol) / n
     slack = n * np.finfo(np.float64).eps
-    for q, members in groups.items():
-        gone = np.array([removed[i] for i in members])
+    for q in set(gone_rows[tried].tolist()):
+        members = np.flatnonzero(tried & (gone_rows == q))
+        gone = removed[members]
         # the removed row indices of each removal, one removal per row
         idx = np.nonzero(gone)[1].reshape(len(members), q)
         _, vecs = np.linalg.eigh(g[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])

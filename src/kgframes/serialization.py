@@ -210,16 +210,17 @@ def _dump_json(doc, write) -> None:
 
 
 def _write_json(doc: dict, target) -> str:
-    """Write ``doc`` to ``sys.stdout``, ``sys.stderr`` or a path. A stream, or
-    a path naming the file one of them has open, is written through that
-    stream after what it holds. Any other path is replaced by a new file
-    written beside it, so that on any exception it keeps its bytes, unless it
-    is not a regular file with one link (a symlink, a hard link, a pipe,
-    ``/dev/fd/3``): that is written through as ``open(path, "w")`` opens it.
-    Permissions and error text are ``open``'s. A closed stream (None) or an
-    ``OSError`` is an InputError naming the stream or path; what a failed
-    stream holds goes to ``os.devnull``, so the flush at exit cannot fail
-    again. Returns the sha256 hex digest of the bytes as they are written."""
+    """Write ``doc`` to ``sys.stdout``, ``sys.stderr`` or a path. A stream, a
+    path naming the file one of them has open, or ``/dev/fd/N`` naming an
+    open descriptor N, is written through that stream or descriptor after
+    what it holds. Any other path is replaced by a new file written beside
+    it, so that on any exception it keeps its bytes, unless it is not a
+    regular file with one link (a symlink, a hard link, a pipe): that is
+    written through as ``open(path, "w")`` opens it. Permissions and error
+    text are ``open``'s. A closed stream (None) or an ``OSError`` is an
+    InputError naming the stream or path; what a failed stream holds goes to
+    ``os.devnull``, so the flush at exit cannot fail again. Returns the
+    sha256 hex digest of the bytes as they are written."""
     digest = hashlib.sha256()
 
     def write(chunk: str) -> None:
@@ -265,12 +266,20 @@ def _write_json(doc: dict, target) -> str:
 
 
 def _stream(target) -> tuple:
-    """``(name, stream)`` if ``target`` is sys.stdout or sys.stderr or names its file, else Nones."""
+    """``(name, stream)`` if ``target`` is sys.stdout or sys.stderr or names its file,
+    ``(target, stream)`` with a stream over descriptor N if it is ``/dev/fd/N``
+    and N is open, else Nones."""
     for name in ("stdout", "stderr"):
         fh = getattr(sys, name)
         with contextlib.suppress(OSError, TypeError, ValueError):  # not a path; no such file or descriptor
             if target is fh or fh is not None and os.path.samestat(os.stat(target), os.fstat(fh.fileno())):
                 return name, fh
+    if isinstance(target, (str, os.PathLike)):
+        where, fd = os.path.split(os.fspath(target))
+        if where in ("/dev/fd", "/proc/self/fd") and fd.isascii() and fd.isdigit():
+            with contextlib.suppress(OSError):  # not open: a path like any other
+                os.fstat(int(fd))
+                return os.fspath(target), open(int(fd), "w", encoding="utf-8", closefd=False)
     return None, None
 
 

@@ -640,6 +640,25 @@ def test_a_report_to_stderr_s_own_file_follows_what_the_file_held(tmp_path):
     assert json.loads(text)["payload"]["kind"] == "bounds"
 
 
+def test_a_report_to_an_inherited_descriptor_follows_what_its_file_held(tmp_path):
+    # as `kgframes bounds sys.json -o /dev/fd/3 3>> log`: a new open would truncate log
+    sys_path, log = tmp_path / "sys.json", tmp_path / "log"
+    save_system(random_instance(116), sys_path)
+    log.write_text("an earlier line\n")
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgframes.cli", "bounds", str(sys_path), "-o", f"/dev/fd/{fd}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=(fd,), timeout=60)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    earlier, text = log.read_text().split("\n", 1)
+    assert earlier == "an earlier line"
+    assert json.loads(text)["payload"]["kind"] == "bounds"
+
+
 def test_a_system_written_to_stdout_is_digested_from_the_bytes_written(tmp_path):
     # the file is never read back: a pipe read back would be drained and then block
     path = tmp_path / "sys.json"

@@ -33,7 +33,7 @@ from kgframes import (
     reduced_system,
 )
 from kgframes.gsystem import RANGE_INCLUSION_RTOL
-from kgframes.redundancy import _block_rows, _fatal_removals, _survival_floor
+from kgframes.redundancy import _block_rows, _fatal_removals, _removed_rows, _survival_floor
 
 from oracles import (
     complex_gaussian,
@@ -400,29 +400,29 @@ def _count_eigh_by_kind(monkeypatch) -> dict[str, int]:
 
 def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(monkeypatch):
     # 13 blocks of 2 rows in n = 24: removing two leaves 22 rows, so every
-    # pair is certified fatal from the full factorization; the empty removal
-    # and the 13 single ones take one n x n eigh each
+    # pair is certified fatal from the full factorization; the 13 single
+    # removals take one n x n eigh each, and the empty removal reads S's
     ksys = random_kg_system(24, [2] * 13, 8, seed=0)
     assert ksys.spectrum is not None  # factored before counting starts
     counts = _count_eigh_by_kind(monkeypatch)
     reports = brute_force_erasure_search(ksys, 2)
     assert len(reports) == 92
-    assert counts["eigh_nxn"] == 14
+    assert counts["eigh_nxn"] == 13
     # one batched q x q eigh for the one (size, q) group tried: the pairs, q = 4
     assert counts["eigh_batched"] == 1
     assert counts["eigvalsh"] == counts["svd_with_vectors"] == 0
     assert all(r.actual_lower_bound is None for r in reports if len(r.removed) == 2)
 
 
-def test_search_with_a_singular_frame_operator_takes_one_eigh_per_subset(monkeypatch):
+def test_search_with_a_singular_frame_operator_factors_s_once_and_each_nonempty_removal_once(monkeypatch):
     # 10 rows in n = 6, so three-block removals leave fewer than n rows, but
     # S is singular and the certificate is not tried
     chain = overlap_chain_system(6)
     assert chain.spectrum is not None  # K is factored; S is factored on first use
     counts = _count_eigh_by_kind(monkeypatch)
     reports = brute_force_erasure_search(chain, 3)
-    # S itself, on first use, then one per subset
-    assert counts == {"eigh_nxn": 1 + len(reports), "eigh_batched": 0,
+    # S itself, on first use, which the empty removal shares, then one per other subset
+    assert counts == {"eigh_nxn": len(reports), "eigh_batched": 0,
                       "eigvalsh": 0, "svd_with_vectors": 0}
 
 
@@ -492,6 +492,44 @@ def test_fatal_removal_certificate_declines_near_the_range_threshold(k_component
     reports = brute_force_erasure_search(ksys, 2)
     _assert_equals_reference(ksys, reports, 1e-10)
     assert (reports[-1].actual_lower_bound is None) == (k_component > 1.0)
+
+
+def _grouping_system() -> KGSystem:
+    """Rows e1 | none | e2 + e1/2, e3 | e3 + e4, e4 + e1/4 | e2 - 3e1/4 in
+    n = 4, in a fixed unitary basis, with range(K) = span(e1, e2).
+
+    Dropping block 2 or block 3 keeps four rows each, with S_red of rank 4
+    and 3 respectively, range(K) inside both, and different bounds.
+    """
+    rng = np.random.default_rng(23)
+    u, _ = np.linalg.qr(complex_gaussian(rng, (4, 4)))
+    e = np.eye(4)
+    rows = (e[[0]], np.zeros((0, 4)), np.array([e[1] + e[0] / 2, e[2]]),
+            np.array([e[2] + e[3], e[3] + e[0] / 4]), np.array([e[1] - 3 * e[0] / 4]))
+    k = e[:, :2] @ complex_gaussian(rng, (2, 4))
+    return KGSystem(GSystem(4, tuple(r @ u for r in rows)), u.conj().T @ k @ u)
+
+
+@pytest.mark.parametrize("rank_tol", (0.0, 1e-10, 1e-3))
+def test_stacked_search_groups_by_kept_rows_and_support_size(rank_tol):
+    ksys = _grouping_system()
+    m = ksys.system.num_blocks
+    subsets = [c for r in range(m + 1) for c in itertools.combinations(range(m), r)]
+    # the groups the stacked pass forms, seen from the system itself
+    live = ~_fatal_removals(ksys, _removed_rows(ksys.system, subsets), 1e-10)
+    support_sizes: dict[int, set[int]] = {}
+    for idx, alive in zip(subsets, live):
+        red = reduced_system(ksys, idx)
+        if alive and red.system.offsets[-1] and oracle_is_kg_frame(frame_operator_of(red.system), ksys.k):
+            w = np.linalg.eigvalsh(frame_operator_of(red.system))
+            size = int(np.count_nonzero(w > 1e-10 * w[-1]))
+            support_sizes.setdefault(red.system.offsets[-1], set()).add(size)
+    assert len(support_sizes) >= 2
+    assert {3, 4} <= support_sizes[4]
+    reports = brute_force_erasure_search(ksys, m, rank_tol)
+    _assert_equals_reference(ksys, reports, rank_tol)
+    for rep in reports:
+        assert erasure_brute_report(ksys, rep.removed, rank_tol) == rep
 
 
 @st.composite
