@@ -11,7 +11,8 @@ frame operator) is reported with no n x n work. Every other reduced bound
 comes from one eigendecomposition of the kept rows' frame operator, paired
 with the full system's cached factorization of K, which every subset shares;
 a removal of no rows reads S's own eigendecomposition from that cache. The
-search takes every index set in one stacked pass per kept-row count.
+search takes the index sets in stacked passes, one per kept-row count,
+each cut into runs whose working arrays fit in STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ UNIT_NORM_TOL = 1e-9
 SURVIVAL_TOL = 1e-10
 # Ceiling on the number of subsets a brute-force enumeration may visit.
 MAX_SUBSETS = 100_000
+# Ceiling on the bytes of working arrays one stacked step of a search holds.
+STACK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -107,48 +110,61 @@ def reduced_system(ksys: KGSystem, indices) -> KGSystem:
     return KGSystem(GSystem(ksys.ambient_dim, blocks), ksys.k)
 
 
+def _chunks(members: np.ndarray, member_bytes: int):
+    """``members`` in consecutive runs whose working arrays, ``member_bytes``
+    each, fit in STACK_BYTES (at least one member per run)."""
+    step = max(1, STACK_BYTES // member_bytes)
+    return (members[i : i + step] for i in range(0, len(members), step))
+
+
 def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float | None]:
     """``optimal_bounds(reduced_system(ksys, idx)).kg_lower_opt`` for each index set.
 
     No reduced system is built. A removal that :func:`_fatal_removals` proves
-    fatal is None. The others are taken in one stacked pass per kept-row
-    count: one product forms their frame operators and each takes one
-    ``eigh``, except that a removal of no rows reads S's own from the spectrum.
-    K's factorization comes from the full system's spectrum, which every
-    subset shares.
+    fatal is None, and a removal of no rows takes S's own eigendecomposition
+    from the spectrum. The others are taken in stacked passes per kept-row
+    count, each within STACK_BYTES: one product forms their frame operators
+    and each takes one ``eigh``. K's factorization comes from the full
+    system's spectrum, which every subset shares.
     """
     spec = ksys.spectrum
     l = ksys.system.matrix
+    num_rows, n = l.shape
     removed = _removed_rows(ksys.system, subsets)
-    kept = l.shape[0] - np.count_nonzero(removed, axis=1)
+    kept = num_rows - np.count_nonzero(removed, axis=1)
     live = ~_fatal_removals(ksys, removed, rank_tol)
     lowers: list[float | None] = [None] * len(subsets)
-    for count in set(kept[live].tolist()):
-        members = np.flatnonzero(live & (kept == count))
-        if count == l.shape[0]:
-            pairs = [(spec.s_evals, spec.s_evecs)] * len(members)
-        else:
-            rows = np.nonzero(~removed[members])[1].reshape(len(members), count)
-            pairs = [np.linalg.eigh(g) for g in _gram(l[rows])]
-        w, v = (np.array(part) for part in zip(*pairs))
-        for i, lower in zip(members, _kg_lower(w, spec.k_in(v), spec.k_norm, rank_tol)):
+    whole = np.flatnonzero(live & (kept == num_rows))
+    if whole.size:
+        y = spec.k_in(spec.s_evecs)
+        lower = _kg_lower(spec.s_evals[np.newaxis], y[np.newaxis], spec.k_norm, rank_tol)[0]
+        for i in whole:
             lowers[i] = lower
+    for count in set(kept[live & (kept < num_rows)].tolist()):
+        # the kept rows and their adjoint, and about four n x n arrays, per removal
+        for members in _chunks(np.flatnonzero(live & (kept == count)), 16 * n * (2 * count + 4 * n)):
+            rows = np.nonzero(~removed[members])[1].reshape(len(members), count)
+            w = np.empty((len(members), n))
+            v = np.empty((len(members), n, n), dtype=l.dtype)
+            for j, g in enumerate(_gram(l[rows])):
+                w[j], v[j] = np.linalg.eigh(g)
+            for i, lower in zip(members, _kg_lower(w, spec.k_in(v), spec.k_norm, rank_tol)):
+                lowers[i] = lower
     return lowers
 
 
-def _fatal_removals(ksys: KGSystem, removed, rank_tol: float) -> np.ndarray:
+def _fatal_removals(ksys: KGSystem, removed: np.ndarray, rank_tol: float) -> np.ndarray:
     """Mask of the removals whose reduced system provably has no bound relative to K.
 
-    ``removed`` holds one mask of removed stacked rows per removal: an array
-    with one removal per row, or a list of masks. Only
+    Row i of ``removed`` masks the stacked rows removal i removes. Only
     removals that leave fewer rows than the ambient dimension n are tried,
     since only they are sure to leave a kernel, and only when S is
     invertible at ``rank_tol`` and K != 0; every other entry is False.
 
     With F = S^{-1} L^* and G = L F, an eigenvector v of G_I with eigenvalue 1
     gives a kernel vector f = F_I v of S_red = S - L_I^* L_I. The top
-    eigenvector of G_I (one batched ``eigh`` per removed-row count q) is
-    taken as the witness, and rho = ||L_kept f||^2 / ||f||^2 and
+    eigenvector of G_I (one batched ``eigh`` per removed-row count q, in runs
+    within STACK_BYTES) is taken as the witness, and rho = ||L_kept f||^2 / ||f||^2 and
     kappa = ||K^* f|| / ||f|| are measured directly. Write T = ||L_kept||_F^2.
     Since lambda_max(S_red) >= T / n, the ``eigh`` path's rank cut is at
     least c = rank_cutoff(1, n, rank_tol) T / n, so the part of f on the
@@ -161,7 +177,6 @@ def _fatal_removals(ksys: KGSystem, removed, rank_tol: float) -> np.ndarray:
     spec = ksys.spectrum
     l = ksys.system.matrix
     num_rows, n = l.shape
-    removed = np.asarray(removed, dtype=bool).reshape(len(removed), num_rows)
     gone_rows = np.count_nonzero(removed, axis=1)
     tried = (gone_rows > 0) & (num_rows - gone_rows < n)
     fatal = np.zeros(len(removed), dtype=bool)
@@ -175,23 +190,25 @@ def _fatal_removals(ksys: KGSystem, removed, rank_tol: float) -> np.ndarray:
     cut = linops.rank_cutoff(1.0, n, rank_tol) / n
     slack = n * np.finfo(np.float64).eps
     for q in set(gone_rows[tried].tolist()):
-        members = np.flatnonzero(tried & (gone_rows == q))
-        gone = removed[members]
-        # the removed row indices of each removal, one removal per row
-        idx = np.nonzero(gone)[1].reshape(len(members), q)
-        _, vecs = np.linalg.eigh(g[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
-        # one witness f^* = v^* F_I^* per row
-        wit = np.einsum("mq,mqn->mn", vecs[:, :, -1].conj(), fh[idx])
-        f_sq = (wit.real**2 + wit.imag**2).sum(axis=1)
-        lf = wit.conj() @ l.T  # row m is (L f_m)^T
-        rho = np.where(gone, 0.0, lf.real**2 + lf.imag**2).sum(axis=1)
-        kappa = np.linalg.norm(wit @ ksys.k, axis=1)  # ||f^* K|| = ||K^* f||
-        t = np.where(gone, 0.0, row_sq).sum(axis=1)
-        # kappa - ||K|| sqrt((rho + delta) / c) > 2 RTOL ||K||, unnormalized
-        # and squared, so an empty witness or an all-zero kept set declines
-        margin = kappa - 2.0 * RANGE_INCLUSION_RTOL * k_norm * np.sqrt(f_sq)
-        bound_sq = k_norm * k_norm * (rho + slack * t * f_sq)
-        fatal[members] = (margin > 0.0) & (margin * margin * cut * t > bound_sq)
+        # G_I and its eigenvectors, F_I^*, and rows of length n or num_rows, per removal
+        per_member = 16 * (2 * q * q + q * n + 4 * (n + num_rows))
+        for members in _chunks(np.flatnonzero(tried & (gone_rows == q)), per_member):
+            gone = removed[members]
+            # the removed row indices of each removal, one removal per row
+            idx = np.nonzero(gone)[1].reshape(len(members), q)
+            _, vecs = np.linalg.eigh(g[idx[:, :, np.newaxis], idx[:, np.newaxis, :]])
+            # one witness f^* = v^* F_I^* per row
+            wit = np.einsum("mq,mqn->mn", vecs[:, :, -1].conj(), fh[idx])
+            f_sq = (wit.real**2 + wit.imag**2).sum(axis=1)
+            lf = wit.conj() @ l.T  # row m is (L f_m)^T
+            rho = np.where(gone, 0.0, lf.real**2 + lf.imag**2).sum(axis=1)
+            kappa = np.linalg.norm(wit @ ksys.k, axis=1)  # ||f^* K|| = ||K^* f||
+            t = np.where(gone, 0.0, row_sq).sum(axis=1)
+            # kappa - ||K|| sqrt((rho + delta) / c) > 2 RTOL ||K||, unnormalized
+            # and squared, so an empty witness or an all-zero kept set declines
+            margin = kappa - 2.0 * RANGE_INCLUSION_RTOL * k_norm * np.sqrt(f_sq)
+            bound_sq = k_norm * k_norm * (rho + slack * t * f_sq)
+            fatal[members] = (margin > 0.0) & (margin * margin * cut * t > bound_sq)
     return fatal
 
 

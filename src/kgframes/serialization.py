@@ -276,8 +276,8 @@ def _stream(target) -> tuple:
                 return name, fh
     if isinstance(target, (str, os.PathLike)):
         where, fd = os.path.split(os.fspath(target))
-        if where in ("/dev/fd", "/proc/self/fd") and fd.isascii() and fd.isdigit():
-            with contextlib.suppress(OSError):  # not open: a path like any other
+        if where == "/dev/fd" and fd.isascii() and fd.isdigit():
+            with contextlib.suppress(OSError, OverflowError):  # not open, or past a C int: a path like any other
                 os.fstat(int(fd))
                 return os.fspath(target), open(int(fd), "w", encoding="utf-8", closefd=False)
     return None, None

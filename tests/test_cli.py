@@ -659,6 +659,19 @@ def test_a_report_to_an_inherited_descriptor_follows_what_its_file_held(tmp_path
     assert json.loads(text)["payload"]["kind"] == "bounds"
 
 
+def test_a_descriptor_past_any_c_int_is_a_path_that_cannot_be_written(tmp_path):
+    path = tmp_path / "sys.json"
+    save_system(random_instance(117), path)
+    target = "/dev/fd/" + "9" * 20
+    proc = _cli_process("bounds", str(path), "-o", target)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    report = json.loads(proc.stderr)
+    assert proc.stderr.decode() == json.dumps(report, indent=1) + "\n"  # exactly one document
+    assert report["error"]["type"] == "InputError"
+    assert report["error"]["message"].startswith(f"cannot write {target}: ")
+
+
 def test_a_system_written_to_stdout_is_digested_from_the_bytes_written(tmp_path):
     # the file is never read back: a pipe read back would be drained and then block
     path = tmp_path / "sys.json"

@@ -118,6 +118,22 @@ def test_range_condition_trivial_cases():
     assert not range_condition_holds(bad)
 
 
+def test_a_zero_k_or_zero_s_has_no_bound_and_takes_no_norm_of_an_empty_matrix(monkeypatch):
+    # numpy releases before 2 raise on the spectral norm of an empty matrix
+    norm = np.linalg.norm
+
+    def strict_norm(x, ord=None, *args, **kwargs):
+        assert ord != 2 or np.size(x), "spectral norm of an empty matrix"
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", strict_norm)
+    blocks = (complex_gaussian(np.random.default_rng(5), (3, 3)), np.zeros((2, 3)))
+    for ksys in (KGSystem(GSystem(3, blocks), np.zeros((3, 3))),
+                 KGSystem(GSystem(3, (blocks[1], np.zeros((1, 3)))), np.eye(3))):
+        assert optimal_bounds(ksys).kg_lower_opt is None
+        assert all(r.actual_lower_bound is None for r in brute_force_erasure_search(ksys, 2))
+
+
 def test_identity_system_bounds_are_tight():
     rep = optimal_bounds(_identity_system(5))
     assert abs(rep.bessel_upper_opt - 1.0) < 1e-12

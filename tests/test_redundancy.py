@@ -33,7 +33,8 @@ from kgframes import (
     reduced_system,
 )
 from kgframes.gsystem import RANGE_INCLUSION_RTOL
-from kgframes.redundancy import _block_rows, _fatal_removals, _removed_rows, _survival_floor
+from kgframes import redundancy
+from kgframes.redundancy import _fatal_removals, _removed_rows, _survival_floor
 
 from oracles import (
     complex_gaussian,
@@ -472,7 +473,7 @@ def test_fatal_removal_certificate_keeps_every_report_of_the_reference(k_kind, r
 def test_fatal_removal_certificate_fires_on_mixed_block_dims():
     ksys = _mixed_dims_system(17, "rank2")
     subsets = [c for r in range(5) for c in itertools.combinations(range(6), r)]
-    removed = [_block_rows(ksys.system, idx) for idx in subsets]
+    removed = _removed_rows(ksys.system, subsets)
     fatal = _fatal_removals(ksys, removed, 1e-10)
     counts = {int(rows.sum()) for rows, dead in zip(removed, fatal) if dead}
     assert len(counts) > 1  # certified removals of more than one row count
@@ -488,7 +489,7 @@ def test_fatal_removal_certificate_declines_near_the_range_threshold(k_component
     rows = (np.eye(3)[:2], np.eye(3)[2:], np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0))
     k = np.diag([1.0, 1.0, k_component * RANGE_INCLUSION_RTOL])
     ksys = KGSystem(GSystem(3, tuple(r @ u for r in rows)), u.conj().T @ k @ u)
-    assert not _fatal_removals(ksys, [_block_rows(ksys.system, (1, 2))], 1e-10).any()
+    assert not _fatal_removals(ksys, _removed_rows(ksys.system, [(1, 2)]), 1e-10).any()
     reports = brute_force_erasure_search(ksys, 2)
     _assert_equals_reference(ksys, reports, 1e-10)
     assert (reports[-1].actual_lower_bound is None) == (k_component > 1.0)
@@ -530,6 +531,28 @@ def test_stacked_search_groups_by_kept_rows_and_support_size(rank_tol):
     _assert_equals_reference(ksys, reports, rank_tol)
     for rep in reports:
         assert erasure_brute_report(ksys, rep.removed, rank_tol) == rep
+
+
+def test_a_search_in_runs_within_a_small_stack_budget_reports_the_same_bits(monkeypatch):
+    cases = [_mixed_dims_system(17, kind) for kind in ("full", "rank2", "in_rows")] + [_grouping_system()]
+    chunks, runs, budget = redundancy._chunks, [], redundancy.STACK_BYTES
+
+    def recorded(members, member_bytes):
+        for run in chunks(members, member_bytes):
+            runs.append(len(run))
+            yield run
+
+    monkeypatch.setattr(redundancy, "_chunks", recorded)
+    for rank_tol in (0.0, 1e-10, 1e-3):
+        for ksys in cases:
+            reports, run_counts = [], []
+            for stack_bytes in (budget, 4096, 1):
+                monkeypatch.setattr(redundancy, "STACK_BYTES", stack_bytes)
+                runs.clear()
+                reports.append(brute_force_erasure_search(ksys, ksys.system.num_blocks, rank_tol))
+                run_counts.append(len(runs))
+            assert reports[0] == reports[1] == reports[2]
+            assert run_counts[0] < run_counts[1] < run_counts[2] and max(runs) == 1  # one removal per run
 
 
 @st.composite
