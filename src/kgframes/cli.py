@@ -1,7 +1,8 @@
 """Command-line driver emitting machine-readable JSON reports.
 
 Exit codes: 0 on success, 1 when a mathematical precondition fails
-(ComputationError), 2 on malformed input or a usage error (InputError).
+(ComputationError), 2 on malformed input, a usage error or an input that
+needs more memory than the process gets (InputError).
 Reports go to stdout, and each failure's one JSON error report to stderr;
 commands that produce a system write it to ``-o`` and report-only commands
 accept ``-o`` to redirect the report instead.
@@ -9,7 +10,8 @@ accept ``-o`` to redirect the report instead.
 Each command is declared once, in ``_COMMANDS``, and each input file kind
 in ``_INPUTS``; ``build_parser``, ``_run`` and ``main`` all read these two
 tables, and only the options of a single command are added by hand. A command
-offers, checks and reports only the tolerance flags it reads.
+offers, checks and reports only the tolerance flags it reads, and reports beside
+them the fixed :mod:`~kgframes.linops` thresholds any of its paths may read.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import constructions, duals, gsystem, redundancy, serialization
+from . import constructions, duals, gsystem, linops, redundancy, serialization
 from .errors import ComputationError, InputError
-from .linops import DEFAULT_RANK_TOL, _checked_tol
 
 
 def _gen(args) -> dict:
@@ -51,7 +52,7 @@ def _bounds(args, ksys) -> dict:
 
 
 def _classify(args, ksys) -> dict:
-    rep = gsystem.classify(ksys, tol=args.tol_rank)
+    rep = gsystem.classify(ksys, rank_tol=args.tol_rank)
     return {
         "kind": "classify",
         "label": rep.label.value,
@@ -147,21 +148,24 @@ _GENERATORS = {"example1": "overlap_chain_system", "example2": "corner_projectio
                "random": "random_kg_system"}
 _CRITERIA = {"norm": "erasure_norm_count", "invert": "erasure_invertibility",
              "brute": "erasure_brute_report"}
+_THRESHOLDS = {name.rsplit("_", 1)[0].lower(): name for name in linops.THRESHOLDS}  # by report key
 # Each command: help text, handler, inputs in load order (the handler gets them
-# after the parsed arguments), tolerances read (flag ``--tol-<name>``), and
-# whether -o names the system file it writes; otherwise -o redirects the report.
+# after the parsed arguments), tolerances read (flag ``--tol-<name>``), whether
+# -o names the system file it writes (otherwise -o redirects the report), and
+# the fixed thresholds any of its paths may read (keys of _THRESHOLDS).
 _COMMANDS = {
-    "gen": ("generate a system file", _gen, (), (), True),
-    "bounds": ("optimal frame constants", _bounds, ("system",), ("rank",), False),
-    "classify": ("frame classification", _classify, ("system",), ("rank",), False),
-    "dual": ("canonical dual family", _dual, ("system",), ("rank", "dual"), True),
-    "defect": ("duality defect of a candidate", _defect, ("system", "candidate"), ("rank", "dual"), False),
-    "exactify": ("correct an approximate dual", _exactify, ("system", "candidate"), ("rank", "dual"), True),
-    "neumann-dual": ("truncated series dual", _neumann_dual, ("system", "candidate"), ("rank", "dual"), True),
-    "reconstruct": ("iterative reconstruction", _reconstruct,
-                    ("system", "candidate", "vector"), ("rank",), False),
-    "lift": ("lift a dual pair to vector frames", _lift, ("system", "candidate", "frames"), ("rank",), False),
-    "erase": ("erasure survival analysis", _erase, ("system",), ("rank",), False),
+    "gen": ("generate a system file", _gen, (), (), True, ("range_inclusion",)),
+    "bounds": ("optimal frame constants", _bounds, ("system",), ("rank",), False, ("range_inclusion", "tight")),
+    "classify": ("frame classification", _classify, ("system",), ("rank",), False, ("range_inclusion", "tight")),
+    "dual": ("canonical dual family", _dual, ("system",), ("rank", "dual"), True, ("range_inclusion",)),
+    "defect": ("duality defect of a candidate", _defect, ("system", "candidate"), ("rank", "dual"), False, ()),
+    "exactify": ("correct an approximate dual", _exactify, ("system", "candidate"), ("rank", "dual"), True, ()),
+    "neumann-dual": ("truncated series dual", _neumann_dual, ("system", "candidate"), ("rank", "dual"), True, ()),
+    "reconstruct": ("iterative reconstruction", _reconstruct, ("system", "candidate", "vector"), ("rank",),
+                    False, ("range_inclusion", "neumann_stop")),
+    "lift": ("lift a dual pair to vector frames", _lift, ("system", "candidate", "frames"), ("rank",), False, ()),
+    "erase": ("erasure survival analysis", _erase, ("system",), ("rank",), False,
+              ("range_inclusion", "survival", "unit_norm")),
 }
 # Each input: its loader on ``serialization`` and, for an input passed by a
 # required option rather than by position, the option's flag and help text.
@@ -188,13 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {}
-    for name, (help_text, _, inputs, tolerances, writes_system) in _COMMANDS.items():
+    for name, (help_text, _, inputs, tolerances, writes_system, _) in _COMMANDS.items():
         p = parsers[name] = sub.add_parser(name, help=help_text)
         if "rank" in tolerances:
-            p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
+            p.add_argument("--tol-rank", type=float, default=linops.DEFAULT_RANK_TOL,
                            help="relative singular-value cutoff for rank decisions (default %(default)g)")
         if "dual" in tolerances:
-            p.add_argument("--tol-dual", type=float, default=duals.DUAL_EXACT_TOL,
+            p.add_argument("--tol-dual", type=float, default=linops.DUAL_EXACT_TOL,
                            help="defect threshold certifying an exact dual (default %(default)g)")
         o_help = "system file to write" if writes_system else "report file (default stdout)"
         p.add_argument("-o", "--output", required=writes_system, help=o_help)
@@ -229,10 +233,10 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict]:
     every input is loaded and digested before the handler runs, so a digest
     is that of the file read even when the handler writes over it.
     """
-    _, handler, inputs, tolerances, _ = _COMMANDS[args.command]
+    _, handler, inputs, tolerances, _, _ = _COMMANDS[args.command]
     for tol in tolerances:
         try:
-            _checked_tol(getattr(args, f"tol_{tol}"), f"--tol-{tol}")
+            linops._checked_tol(getattr(args, f"tol_{tol}"), f"--tol-{tol}")
         except ValueError as exc:
             raise InputError(str(exc)) from None
     for dest, flag in (("num_terms", "--N"), ("num_steps", "--N"), ("seed", "--seed")):
@@ -254,17 +258,20 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
-        *_, tolerances, writes_system = _COMMANDS[args.command]
+        _, _, _, tolerances, writes_system, thresholds = _COMMANDS[args.command]
         payload, inputs = _run(args)
         report = {
             **head,
             "inputs": inputs,
             "tolerances": {tol: getattr(args, f"tol_{tol}") for tol in tolerances},
+            "thresholds": {name: getattr(linops, _THRESHOLDS[name]) for name in thresholds},
             "payload": payload,
             "wall_time_s": time.perf_counter() - started,
         }
         serialization._write_json(report, sys.stdout if writes_system or args.output is None else args.output)
-    except (InputError, ComputationError) as exc:
+    except (InputError, ComputationError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # an input that asks for more memory than the process gets
+            exc = InputError(f"not enough memory: {exc}")
         error = {"type": type(exc).__name__, "message": str(exc)}
         with contextlib.suppress(InputError):  # stderr closed or unwritable: the exit code still tells
             serialization._write_json({**head, "error": error}, sys.stderr)

@@ -17,8 +17,7 @@ from .errors import (
     NotTightError,
     ZeroWeightError,
 )
-from .gsystem import TIGHT_RTOL, GSystem, KGSystem, _is_scalar, classify, range_condition_holds
-from .linops import DEFAULT_RANK_TOL
+from .gsystem import GSystem, KGSystem, _is_scalar, classify, range_condition_holds
 
 _MAX_GENERATION_ATTEMPTS = 10
 # random_frame_family draws this many vectors per dimension of each space.
@@ -162,7 +161,7 @@ class SubspaceFrameFamily:
         return fam.T @ fam.conj()
 
     @classmethod
-    def from_vectors(cls, families, tol: float = DEFAULT_RANK_TOL) -> "SubspaceFrameFamily":
+    def from_vectors(cls, families, tol: float = linops.DEFAULT_RANK_TOL) -> "SubspaceFrameFamily":
         fams = tuple(linops.as_operator(raw) for raw in families)
         if not fams:
             raise NotAFrameError("family list is empty")
@@ -251,9 +250,10 @@ class TightRelationReport:
 def tight_relation_check(ksys: KGSystem) -> TightRelationReport:
     """Evaluate, for a tight K-g-frame, the equivalence with tight g-frames.
 
-    Every test is relative to ``TIGHT_RTOL``, and K K^* counts as scalar by the
+    Every test is relative to ``linops.TIGHT_RTOL``, and K K^* counts as scalar by the
     rule ``classify`` applies to S: ``sigma_max^2 - sigma_min^2 <= TIGHT_RTOL sigma_max^2``.
     """
+    rtol = linops.TIGHT_RTOL
     classes = classify(ksys)
     report = classes.bounds
     if not report.tight_kg or report.tightness_constant is None:
@@ -273,12 +273,12 @@ def tight_relation_check(ksys: KGSystem) -> TightRelationReport:
     forward_ok = True
     if is_tight_g and a2 is not None:
         ratio_dev = float(np.abs(kk_evals - a2 / a1).max())
-        forward_ok = ratio_dev <= TIGHT_RTOL * max(a2 / a1, kk_norm)
+        forward_ok = ratio_dev <= rtol * max(a2 / a1, kk_norm)
 
     # converse: a scalar K K^* forces S = (c * a1) I, i.e. g-tightness
     converse_ok = True
     if kk_is_scalar:
-        converse_ok = is_tight_g and a2 is not None and abs(a2 - c * a1) <= TIGHT_RTOL * a2
+        converse_ok = is_tight_g and a2 is not None and abs(a2 - c * a1) <= rtol * a2
 
     consistent = bool((is_tight_g == kk_is_scalar) and forward_ok and converse_ok)
     return TightRelationReport(a1, is_tight_g, a2, ratio_dev, kk_scalar, consistent)

@@ -37,14 +37,10 @@ from .errors import (
     RangeConditionError,
     TrivialRangeError,
 )
-from .gsystem import RANGE_INCLUSION_RTOL, GSystem, KGSystem, _k_range, range_condition_holds
-from .linops import DEFAULT_RANK_TOL
+from .gsystem import GSystem, KGSystem, _k_range, range_condition_holds
 
-# Defect at or below this value certifies an exact dual.
-DUAL_EXACT_TOL = 1e-9
-# Default iteration cap and early-stop threshold for Neumann reconstruction.
+# Default iteration cap of Neumann reconstruction.
 NEUMANN_DEFAULT_STEPS = 50
-NEUMANN_STOP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ def mixed_operator(system: GSystem, candidate: GSystem) -> np.ndarray:
     return system.matrix.conj().T @ candidate.matrix
 
 
-def canonical_kg_dual(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> GSystem:
+def canonical_kg_dual(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> GSystem:
     """Canonical dual family T_j = L_j pinv(S) P, P the range projector of K.
 
     Requires range(K) inside range(S); the result reproduces every f in
@@ -171,8 +167,8 @@ def approx_defect(
     system: GSystem,
     candidate: GSystem,
     k,
-    exact_tol: float = DUAL_EXACT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    exact_tol: float = linops.DUAL_EXACT_TOL,
+    rank_tol: float = linops.DEFAULT_RANK_TOL,
 ) -> DualCertificate:
     """Measure both duality defects relative to K; exact when the defect <= ``exact_tol``."""
     linops._checked_tol(exact_tol, "exact_tol")
@@ -182,16 +178,16 @@ def approx_defect(
     return DualCertificate(defect, defect <= exact_tol, defect < 1.0, interchange)
 
 
-def is_kg_dual(system: GSystem, candidate: GSystem, k, tol: float = DUAL_EXACT_TOL) -> bool:
-    """True when the measured defect does not exceed ``tol``."""
-    return approx_defect(system, candidate, k, exact_tol=tol).is_exact_dual
+def is_kg_dual(system: GSystem, candidate: GSystem, k, exact_tol: float = linops.DUAL_EXACT_TOL) -> bool:
+    """True when the measured defect does not exceed ``exact_tol``."""
+    return approx_defect(system, candidate, k, exact_tol=exact_tol).is_exact_dual
 
 
 def exactify_dual(
     system: GSystem,
     candidate: GSystem,
     k,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    rank_tol: float = linops.DEFAULT_RANK_TOL,
 ) -> GSystem:
     """Turn an approximate dual into an exact one by inverting the mixed operator.
 
@@ -215,7 +211,7 @@ def truncated_neumann_dual(
     candidate: GSystem,
     k,
     num_terms: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    rank_tol: float = linops.DEFAULT_RANK_TOL,
 ) -> GSystem:
     """Approximate dual from the first ``num_terms + 1`` Neumann correction terms.
 
@@ -243,7 +239,7 @@ def neumann_reconstruct(
     k,
     target,
     num_steps: int = NEUMANN_DEFAULT_STEPS,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    rank_tol: float = linops.DEFAULT_RANK_TOL,
 ) -> ReconstructionTrace:
     """Reconstruct a vector of range(K) by the geometric correction series.
 
@@ -254,15 +250,15 @@ def neumann_reconstruct(
     t_{N+1} = (I_r - C) t_N and the N-th iterate is B (t_0 + ... + t_N),
     so a step costs one r x r and one n x r product, r the rank of K. Each
     error is measured in the whole space as ||f - iterate||. Iteration
-    stops after ``num_steps`` corrections or once the error falls below
-    1e-12 relative to ||f||.
+    stops after ``num_steps`` corrections or once the error is at most
+    ``linops.NEUMANN_STOP_RTOL`` ||f||.
 
     Raises
     ------
     ValueError
         If ``num_steps`` is negative.
     NotInRangeError
-        If the target is outside range(K) at relative tolerance ``RANGE_INCLUSION_RTOL``.
+        If the target is outside range(K) at relative tolerance ``linops.RANGE_INCLUSION_RTOL``.
     NotApproxDualError
         If the measured defect is not below 1.
     """
@@ -274,7 +270,7 @@ def neumann_reconstruct(
         raise DimMismatchError(f"vector has length {f.shape[0]}, expected {system.ambient_dim}")
     b_star = b.conj().T
     f_norm = float(np.linalg.norm(f))
-    if float(np.linalg.norm(f - b @ (b_star @ f))) > RANGE_INCLUSION_RTOL * f_norm:
+    if float(np.linalg.norm(f - b @ (b_star @ f))) > linops.RANGE_INCLUSION_RTOL * f_norm:
         raise NotInRangeError("target vector is not in range(K)")
 
     # M f = L^* (T f) = conj(L^T conj(T f)), which copies no matrix
@@ -284,8 +280,9 @@ def neumann_reconstruct(
     iterates = [b @ coords]
     errors = [float(np.linalg.norm(f - iterates[0]))]
     predicted = [defect * f_norm]
+    stop = linops.NEUMANN_STOP_RTOL * f_norm
     for step in range(1, num_steps + 1):
-        if errors[-1] <= NEUMANN_STOP_RTOL * f_norm:
+        if errors[-1] <= stop:
             break
         term = q @ term
         coords += term
@@ -296,7 +293,7 @@ def neumann_reconstruct(
 
 
 def perturbed_dual(
-    ksys: KGSystem, defect: float, seed: int, rank_tol: float = DEFAULT_RANK_TOL
+    ksys: KGSystem, defect: float, seed: int, rank_tol: float = linops.DEFAULT_RANK_TOL
 ) -> GSystem:
     """Approximate dual with a prescribed measured defect.
 
@@ -328,7 +325,7 @@ def lift_to_vector_frames(
     candidate: GSystem,
     fams: SubspaceFrameFamily,
     k=None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    rank_tol: float = linops.DEFAULT_RANK_TOL,
 ) -> LiftResult:
     """Lift an operator-valued dual pair to ordinary vector families.
 

@@ -24,12 +24,6 @@ import numpy as np
 
 from . import linops
 from .errors import DimMismatchError
-from .linops import DEFAULT_RANK_TOL
-
-# Relative residual below which range(K) lies in range(S), and a vector in range(K).
-RANGE_INCLUSION_RTOL = 1e-8
-# Relative distance below which a system counts as tight and an operator as scalar.
-TIGHT_RTOL = 1e-8
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -246,7 +240,7 @@ class BoundReport:
     ``kg_lower_opt`` is None when range(K) is not contained in range(S) at
     the working tolerance (no positive lower bound relative to K exists).
     ``tight_kg`` records whether S equals ``kg_lower_opt * K K^*`` in the
-    operator norm, ||S - A K K^*|| <= ``TIGHT_RTOL`` max(||S||, A ||K||^2)
+    operator norm, ||S - A K K^*|| <= ``linops.TIGHT_RTOL`` max(||S||, A ||K||^2)
     with A = ``kg_lower_opt``, the constant then in ``tightness_constant``.
     At K = I this is the rule that labels a tight g-frame.
     """
@@ -356,14 +350,14 @@ def _norm_at_most(x: np.ndarray, limit: float) -> bool:
     return linops.op_norm(x) <= limit
 
 
-def range_condition_holds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
+def range_condition_holds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> bool:
     """Whether range(K) is contained in range(S) at the working tolerance."""
     spec = ksys.spectrum
     outside = spec.k_in(spec.s_evecs[:, ~spec.s_support(rank_tol)])
-    return _norm_at_most(outside, RANGE_INCLUSION_RTOL * spec.k_norm)
+    return _norm_at_most(outside, linops.RANGE_INCLUSION_RTOL * spec.k_norm)
 
 
-def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundReport:
+def optimal_bounds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> BoundReport:
     """Compute the optimal frame constants of a K-g-system.
 
     Parameters
@@ -372,8 +366,8 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundR
         System under analysis.
     rank_tol : float
         Relative singular-value cutoff for every rank decision. The range(K)
-        in range(S) test uses ``RANGE_INCLUSION_RTOL`` and the tightness
-        test ``TIGHT_RTOL``.
+        in range(S) test uses ``linops.RANGE_INCLUSION_RTOL`` and the tightness
+        test ``linops.TIGHT_RTOL``.
 
     Returns
     -------
@@ -401,7 +395,7 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = DEFAULT_RANK_TOL) -> BoundR
         # and ||A K K^*|| = A ||K||^2
         diff = -kg_lower * (y @ y.conj().T)
         diff[np.diag_indices_from(diff)] += w
-        tight = _norm_at_most(diff, TIGHT_RTOL * max(bessel, kg_lower * spec.k_norm**2))
+        tight = _norm_at_most(diff, linops.TIGHT_RTOL * max(bessel, kg_lower * spec.k_norm**2))
     return BoundReport(bessel, g_lower, kg_lower, tight, kg_lower if tight else None)
 
 
@@ -419,7 +413,7 @@ def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> l
     n = w.shape[1]
     support = w > linops.rank_cutoff(1.0, n, rank_tol) * np.maximum(w[:, -1:], 0.0)
     sizes = np.count_nonzero(support, axis=1)
-    limit = RANGE_INCLUSION_RTOL * k_norm
+    limit = linops.RANGE_INCLUSION_RTOL * k_norm
     # a full support leaves no rows outside it, and an empty residual passes
     holds = np.array([size == n or _norm_at_most(rows[~mask], limit)
                       for size, rows, mask in zip(sizes, y, support)], dtype=bool)
@@ -437,25 +431,25 @@ def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> l
 
 def _is_scalar(top: float, bottom: float) -> bool:
     """Whether extreme eigenvalues ``top`` >= ``bottom`` are those of a scalar multiple of I."""
-    return top - bottom <= TIGHT_RTOL * top
+    return top - bottom <= linops.TIGHT_RTOL * top
 
 
-def classify(ksys: KGSystem, tol: float = DEFAULT_RANK_TOL) -> ClassificationReport:
+def classify(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> ClassificationReport:
     """Classify a K-g-system along the frame and tightness axes.
 
     The label reports the strongest property that holds: a g-frame wins over
     a plain K-g-frame, and within each strength the tight variant wins.
-    ``tol`` is the rank tolerance of every decision (see
+    ``rank_tol`` is the rank tolerance of every decision (see
     :func:`linops.rank_cutoff`): the system is a g-frame when S has full
     rank at it, the same cut that decides range(S) for the bound relative to
     K, so the label is scale invariant and never rests on rounding noise;
-    ``tol = 0`` means machine precision, as everywhere in the package.
+    ``rank_tol = 0`` means machine precision, as everywhere in the package.
     """
-    report = optimal_bounds(ksys, rank_tol=tol)
+    report = optimal_bounds(ksys, rank_tol=rank_tol)
     spec = ksys.spectrum
-    c = spec.k_lower(tol)
+    c = spec.k_lower(rank_tol)
 
-    is_g = spec.s_support(tol).all()
+    is_g = spec.s_support(rank_tol).all()
     is_kg = report.kg_lower_opt is not None
     tight_g = is_g and _is_scalar(report.bessel_upper_opt, report.g_lower_opt)
 

@@ -5,6 +5,8 @@ products are linear in the first argument. Every decision that a singular
 value or eigenvalue is zero, here and in the rest of the package, is made by
 :func:`rank_cutoff` (default tolerance :data:`DEFAULT_RANK_TOL`), and every
 tolerance, the CLI's included, must satisfy ``0 <= tol < inf`` (:func:`_checked_tol`).
+All seven thresholds of the package are bound here alone (:data:`THRESHOLDS`, the
+two defaults first), and every decision reads its fixed threshold here when it runs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,21 @@ import numpy as np
 from .errors import NotPSDError
 
 DEFAULT_RANK_TOL = 1e-10
+# Defect at or below this value certifies an exact dual: the default ``exact_tol``.
+DUAL_EXACT_TOL = 1e-9
+# Relative residual below which range(K) lies in range(S), and a vector in range(K).
+RANGE_INCLUSION_RTOL = 1e-8
+# Relative distance below which a system counts as tight and an operator as scalar.
+TIGHT_RTOL = 1e-8
+# Neumann reconstruction stops once its error is at most this, relative to the target's norm.
+NEUMANN_STOP_RTOL = 1e-12
+# Removed blocks must have operator norm 1, and K at most 1, within this tolerance.
+UNIT_NORM_TOL = 1e-9
+# A reduced system survives brute force when its lower bound A relative to K
+# has A * ||K||^2 > SURVIVAL_TOL * B, B the full system's Bessel bound.
+SURVIVAL_TOL = 1e-10
+THRESHOLDS = ("DEFAULT_RANK_TOL", "DUAL_EXACT_TOL", "RANGE_INCLUSION_RTOL", "TIGHT_RTOL",
+              "NEUMANN_STOP_RTOL", "UNIT_NORM_TOL", "SURVIVAL_TOL")
 
 
 def as_operator(m) -> np.ndarray:

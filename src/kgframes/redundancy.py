@@ -32,14 +32,7 @@ from .errors import (
     NotUnitNormError,
     TooManySubsetsError,
 )
-from .gsystem import RANGE_INCLUSION_RTOL, GSystem, KGSystem, _gram, _kg_lower, optimal_bounds
-from .linops import DEFAULT_RANK_TOL
-
-# Removed blocks must have operator norm 1, and K at most 1, within this tolerance.
-UNIT_NORM_TOL = 1e-9
-# A reduced system survives brute force when its lower bound A relative to K
-# has A * ||K||^2 > SURVIVAL_TOL * B, B the full system's Bessel bound.
-SURVIVAL_TOL = 1e-10
+from .gsystem import GSystem, KGSystem, _gram, _kg_lower, optimal_bounds
 # Ceiling on the number of subsets a brute-force enumeration may visit.
 MAX_SUBSETS = 100_000
 # Ceiling on the bytes of working arrays one stacked step of a search holds.
@@ -171,7 +164,7 @@ def _fatal_removals(ksys: KGSystem, removed: np.ndarray, rank_tol: float) -> np.
     eigenvectors it keeps has norm at most sqrt((rho + delta) / c), with
     delta = n eps T the slack for rounding. Hence ||(I - P_red) K|| >=
     kappa - ||K|| sqrt((rho + delta) / c); when that exceeds twice
-    ``RANGE_INCLUSION_RTOL ||K||`` the ``eigh`` path must find range(K)
+    ``linops.RANGE_INCLUSION_RTOL ||K||`` the ``eigh`` path must find range(K)
     outside range(S_red). Anything short of that is left to the ``eigh`` path.
     """
     spec = ksys.spectrum
@@ -189,6 +182,7 @@ def _fatal_removals(ksys: KGSystem, removed: np.ndarray, rank_tol: float) -> np.
     k_norm = spec.k_norm
     cut = linops.rank_cutoff(1.0, n, rank_tol) / n
     slack = n * np.finfo(np.float64).eps
+    limit = 2.0 * linops.RANGE_INCLUSION_RTOL * k_norm
     for q in set(gone_rows[tried].tolist()):
         # G_I and its eigenvectors, F_I^*, and rows of length n or num_rows, per removal
         per_member = 16 * (2 * q * q + q * n + 4 * (n + num_rows))
@@ -206,14 +200,14 @@ def _fatal_removals(ksys: KGSystem, removed: np.ndarray, rank_tol: float) -> np.
             t = np.where(gone, 0.0, row_sq).sum(axis=1)
             # kappa - ||K|| sqrt((rho + delta) / c) > 2 RTOL ||K||, unnormalized
             # and squared, so an empty witness or an all-zero kept set declines
-            margin = kappa - 2.0 * RANGE_INCLUSION_RTOL * k_norm * np.sqrt(f_sq)
+            margin = kappa - limit * np.sqrt(f_sq)
             bound_sq = k_norm * k_norm * (rho + slack * t * f_sq)
             fatal[members] = (margin > 0.0) & (margin * margin * cut * t > bound_sq)
     return fatal
 
 
 def _survival_floor(ksys: KGSystem) -> float:
-    """The K-relative lower bound ``SURVIVAL_TOL * B / ||K||^2`` a reduced system must exceed.
+    """The K-relative lower bound ``linops.SURVIVAL_TOL * B / ||K||^2`` a reduced system must exceed.
 
     B = ||L||^2 is the full system's Bessel bound, so the threshold scales with
     the blocks and K; it is infinite for K = 0.
@@ -221,11 +215,11 @@ def _survival_floor(ksys: KGSystem) -> float:
     spec = ksys.spectrum
     if spec.k_norm == 0.0:
         return math.inf
-    return SURVIVAL_TOL * max(float(spec.s_evals[-1]), 0.0) / (spec.k_norm * spec.k_norm)
+    return linops.SURVIVAL_TOL * max(float(spec.s_evals[-1]), 0.0) / (spec.k_norm * spec.k_norm)
 
 
 def erasure_norm_count(
-    ksys: KGSystem, indices, rank_tol: float = DEFAULT_RANK_TOL
+    ksys: KGSystem, indices, rank_tol: float = linops.DEFAULT_RANK_TOL
 ) -> ErasureReport:
     """Survival via counting: the removed set is small against A * C^2.
 
@@ -239,11 +233,12 @@ def erasure_norm_count(
     c = ksys.spectrum.k_lower(rank_tol)
     if c == 0.0:
         raise KStarNotBoundedBelowError("the adjoint of K is not bounded below")
-    if ksys.spectrum.k_norm > 1.0 + UNIT_NORM_TOL:
+    unit_tol = linops.UNIT_NORM_TOL
+    if ksys.spectrum.k_norm > 1.0 + unit_tol:
         raise NotUnitNormError(f"K has operator norm {ksys.spectrum.k_norm:.12g}, expected at most 1")
     for j in idx:
         norm_j = linops.op_norm(ksys.system.blocks[j])
-        if abs(norm_j - 1.0) > UNIT_NORM_TOL:
+        if abs(norm_j - 1.0) > unit_tol:
             raise NotUnitNormError(f"block {j} has operator norm {norm_j:.12g}, expected 1")
     full = optimal_bounds(ksys, rank_tol=rank_tol)
     if full.kg_lower_opt is None or full.kg_lower_opt <= 0.0:
@@ -263,7 +258,7 @@ def erasure_norm_count(
 
 
 def erasure_invertibility(
-    ksys: KGSystem, indices, rank_tol: float = DEFAULT_RANK_TOL
+    ksys: KGSystem, indices, rank_tol: float = linops.DEFAULT_RANK_TOL
 ) -> ErasureReport:
     """Survival via invertibility of T = I - S^{-1} S_I.
 
@@ -316,11 +311,11 @@ def erasure_invertibility(
 
 
 def erasure_brute_report(
-    ksys: KGSystem, indices, rank_tol: float = DEFAULT_RANK_TOL
+    ksys: KGSystem, indices, rank_tol: float = linops.DEFAULT_RANK_TOL
 ) -> ErasureReport:
     """Ground-truth report: the optimal bounds of the reduced system.
 
-    The reduced system survives when A * ||K||^2 > SURVIVAL_TOL * B, with A its
+    The reduced system survives when A * ||K||^2 > ``linops.SURVIVAL_TOL`` B, with A its
     lower bound relative to K and B the full system's Bessel bound.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
@@ -343,7 +338,7 @@ def _brute_reports(ksys: KGSystem, subsets: list[tuple[int, ...]], rank_tol: flo
 
 
 def brute_force_erasure_search(
-    ksys: KGSystem, max_remove: int, rank_tol: float = DEFAULT_RANK_TOL
+    ksys: KGSystem, max_remove: int, rank_tol: float = linops.DEFAULT_RANK_TOL
 ) -> list[ErasureReport]:
     """Evaluate every removal of up to ``max_remove`` blocks.
 

@@ -83,6 +83,7 @@ REPORT_FILE_SCHEMA = {
             },
         },
         "tolerances": {"type": "object", "additionalProperties": {"type": "number"}},
+        "thresholds": {"type": "object", "additionalProperties": {"type": "number"}},
         "payload": {"type": "object"},
         "wall_time_s": {"type": "number"},
     },
@@ -342,7 +343,10 @@ def load_system(path) -> KGSystem:
         if k.shape != (n, n):
             raise DimMismatchError(f"{path}: k has shape {k.shape}, expected ({n}, {n})")
     else:
-        k = np.eye(n, dtype=np.complex128)
+        try:  # numpy refuses a size past its address range, and a failed allocation raises
+            k = np.eye(n, dtype=np.complex128)
+        except (ValueError, MemoryError) as exc:
+            raise ParseError(f"{path}: ambient_dim {n} is too large for the implied identity K") from exc
     return KGSystem(GSystem(n, tuple(blocks)), k)
 
 

@@ -26,13 +26,12 @@ from kgframes import (
     save_system,
     save_vector,
 )
-from kgframes import cli
+from kgframes import cli, constructions, linops
 from kgframes.cli import main
-from kgframes.duals import DUAL_EXACT_TOL
-from kgframes.linops import DEFAULT_RANK_TOL
+from kgframes.linops import DEFAULT_RANK_TOL, DUAL_EXACT_TOL
 from kgframes.serialization import REPORT_FILE_SCHEMA
 
-from oracles import FullStream, random_instance, random_range_vector
+from oracles import FullStream, complex_gaussian, random_instance, random_range_vector
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -348,19 +347,21 @@ def test_unusable_tolerances_and_step_counts_are_input_errors(tmp_path, capsys, 
     assert not (tmp_path / "out.json").exists()
 
 
-# One run of each command over files from _command_files, and the tolerances
-# it reads: --tol-rank everywhere but gen, --tol-dual where a dual is certified.
+# One run of each command over files from _command_files, the tolerances it
+# reads (--tol-rank everywhere but gen, --tol-dual where a dual is certified)
+# and the fixed thresholds its path reads.
 _TOLERANCE_CASES = {
-    "gen": (("gen", "example1", "--n", "8", "-o", "OUT"), ()),
-    "bounds": (("bounds", "SYS"), ("rank",)),
-    "classify": (("classify", "SYS"), ("rank",)),
-    "dual": (("dual", "SYS", "-o", "OUT"), ("rank", "dual")),
-    "defect": (("defect", "SYS", "CAND"), ("rank", "dual")),
-    "exactify": (("exactify", "SYS", "CAND", "-o", "OUT"), ("rank", "dual")),
-    "neumann-dual": (("neumann-dual", "SYS", "CAND", "--N", "2", "-o", "OUT"), ("rank", "dual")),
-    "reconstruct": (("reconstruct", "SYS", "CAND", "--vec", "VEC"), ("rank",)),
-    "lift": (("lift", "SYS", "CAND", "--frames", "FAMS"), ("rank",)),
-    "erase": (("erase", "SYS", "--indices", "0", "--criterion", "brute"), ("rank",)),
+    "gen": (("gen", "example1", "--n", "8", "-o", "OUT"), (), ("range_inclusion",)),
+    "bounds": (("bounds", "SYS"), ("rank",), ("range_inclusion", "tight")),
+    "classify": (("classify", "SYS"), ("rank",), ("range_inclusion", "tight")),
+    "dual": (("dual", "SYS", "-o", "OUT"), ("rank", "dual"), ("range_inclusion",)),
+    "defect": (("defect", "SYS", "CAND"), ("rank", "dual"), ()),
+    "exactify": (("exactify", "SYS", "CAND", "-o", "OUT"), ("rank", "dual"), ()),
+    "neumann-dual": (("neumann-dual", "SYS", "CAND", "--N", "2", "-o", "OUT"), ("rank", "dual"), ()),
+    "reconstruct": (("reconstruct", "SYS", "CAND", "--vec", "VEC"), ("rank",), ("range_inclusion", "neumann_stop")),
+    "lift": (("lift", "SYS", "CAND", "--frames", "FAMS"), ("rank",), ()),
+    "erase": (("erase", "SYS", "--indices", "0", "--criterion", "brute"), ("rank",),
+              ("range_inclusion", "survival", "unit_norm")),
 }
 
 
@@ -377,9 +378,11 @@ def _command_files(tmp_path) -> dict:
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_each_command_offers_checks_and_reports_only_the_tolerances_it_reads(
-        tmp_path, capsys, command):
-    argv, reads = _TOLERANCE_CASES[command]
+        tmp_path, capsys, monkeypatch, command):
+    argv, reads, thresholds = _TOLERANCE_CASES[command]
     assert cli._COMMANDS[command][3] == reads
+    assert cli._COMMANDS[command][5] == thresholds
+    assert {case[1] for case in _THRESHOLD_CASES if case[0][0] == command} == set(thresholds)
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
@@ -402,6 +405,91 @@ def test_each_command_offers_checks_and_reports_only_the_tolerances_it_reads(
     jsonschema.validate(report, REPORT_FILE_SCHEMA)
     defaults = {"rank": DEFAULT_RANK_TOL, "dual": DUAL_EXACT_TOL}
     assert report["tolerances"] == {tol: defaults[tol] for tol in reads}
+    assert list(report) == ["version", "command", "inputs", "tolerances", "thresholds", "payload", "wall_time_s"]
+    assert report["thresholds"] == {name: getattr(linops, cli._THRESHOLDS[name]) for name in thresholds}
+
+    # a threshold the command does not list changes nothing in its payload;
+    # DEFAULT_RANK_TOL and DUAL_EXACT_TOL still move the defaults of its flags
+    for name in set(linops.THRESHOLDS) - {cli._THRESHOLDS[t] for t in thresholds}:
+        for factor in (1e4, 1e-4):
+            with monkeypatch.context() as m:
+                m.setattr(linops, name, getattr(linops, name) * factor)
+                code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (name, factor, err)
+            assert read_report(out)["payload"] == report["payload"], (name, factor)
+
+
+def _unitary(seed: int, n: int) -> np.ndarray:
+    return np.linalg.qr(complex_gaussian(np.random.default_rng(seed), (n, n)))[0]
+
+
+def _threshold_files(tmp_path) -> dict:
+    """Seeded systems, each near one threshold, in a unitary basis; vectors; and an output path."""
+    paths = {key: str(tmp_path / f"{key.lower()}.json")
+             for key in ("NEAR", "TIGHT", "N3", "WEAK", "UNIT", "LOW", "LOWDUAL", "LOWPERT", "IN", "OFF", "OUT")}
+    u = _unitary(31, 2)
+    # range(K) = C^2, range(S) = span(e1): K's part outside range(S) is 1e-6 ||K||
+    save_system(KGSystem(GSystem(2, (np.eye(2)[:1] @ u,)), u.conj().T @ np.diag([1.0, 1e-6]) @ u), paths["NEAR"])
+    # S = diag(1, 1 + 1e-6) and K = I: tight at a relative distance of 1e-6
+    save_system(KGSystem(GSystem(2, (np.diag([1.0, np.sqrt(1 + 1e-6)]) @ u,)), np.eye(2)), paths["TIGHT"])
+    # dropping blocks 1 and 2 leaves a kernel e3 on which K's component is 0.05 ||K||
+    u3 = _unitary(6, 3)
+    rows = (np.eye(3)[:2], np.eye(3)[2:], np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0))
+    save_system(KGSystem(GSystem(3, tuple(r @ u3 for r in rows)), u3.conj().T @ np.diag([1.0, 1.0, 0.05]) @ u3),
+                paths["N3"])
+    # dropping the zero block leaves S = diag(1, 1e-4): lower bound 1e-4 B
+    weak = (np.eye(2)[:1] @ u, np.diag([0.0, 1e-2])[1:] @ u, np.zeros((1, 2)))
+    save_system(KGSystem(GSystem(2, weak), np.eye(2)), paths["WEAK"])
+    # unitary blocks, K = I, and block 0 of norm 1 + 1e-6
+    unit = tuple((1 + 1e-6 if j == 0 else 1.0) * _unitary(40 + j, 2) for j in range(4))
+    save_system(KGSystem(GSystem(2, unit), np.eye(2)), paths["UNIT"])
+    low = random_kg_system(3, [2, 2], 2, seed=5)
+    save_system(low, paths["LOW"])
+    save_system(KGSystem(canonical_kg_dual(low), low.k), paths["LOWDUAL"])
+    save_system(KGSystem(perturbed_dual(low, 0.5, seed=0), low.k), paths["LOWPERT"])
+    left, _, _ = np.linalg.svd(np.asarray(low.k))
+    target = left[:, :2] @ np.array([1.0, 2.0])
+    save_vector(target, paths["IN"])
+    # 1e-6 ||f|| outside range(K)
+    save_vector(target + 1e-6 * np.linalg.norm(target) * left[:, 2], paths["OFF"])
+    return paths
+
+
+# For each command and each fixed threshold it lists: a command line over the
+# files of _threshold_files, a value of the threshold that moves its verdict,
+# and the payload field holding the verdict (None: the exit code).
+_THRESHOLD_CASES = [
+    # K's part outside range(S) is at most ||K||, so 1 admits the first draw
+    (("gen", "random", "--n", "3", "--dims", "1,1", "--rank-k", "1", "-o", "OUT"), "range_inclusion", 1.0, None),
+    (("bounds", "NEAR"), "range_inclusion", 1e-5, "kg_lower_opt"),
+    (("bounds", "TIGHT"), "tight", 1e-5, "tight_kg"),
+    (("classify", "NEAR"), "range_inclusion", 1e-5, "label"),
+    (("classify", "TIGHT"), "tight", 1e-5, "label"),
+    (("dual", "NEAR", "-o", "OUT"), "range_inclusion", 1e-5, None),
+    (("reconstruct", "LOW", "LOWDUAL", "--vec", "OFF"), "range_inclusion", 1e-5, None),
+    (("reconstruct", "LOW", "LOWPERT", "--vec", "IN"), "neumann_stop", 1e-3, "steps"),
+    (("erase", "N3", "--indices", "1", "2", "--criterion", "brute"), "range_inclusion", 0.1, "survives"),
+    (("erase", "WEAK", "--indices", "2", "--criterion", "brute"), "survival", 1e-3, "survives"),
+    (("erase", "UNIT", "--indices", "0", "--criterion", "norm"), "unit_norm", 1e-5, None),
+]
+
+
+@pytest.mark.parametrize("argv, threshold, moved, field", _THRESHOLD_CASES,
+                         ids=[f"{case[0][0]}-{case[1]}" for case in _THRESHOLD_CASES])
+def test_each_listed_threshold_moves_a_verdict_of_its_command(tmp_path, capsys, monkeypatch,
+                                                              argv, threshold, moved, field):
+    paths = _threshold_files(tmp_path)
+    argv = [paths.get(a, a) for a in argv]
+    name = cli._THRESHOLDS[threshold]
+    verdicts = []
+    for value in (getattr(linops, name), moved):
+        monkeypatch.setattr(linops, name, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1), err
+        if code == 0:
+            assert read_report(out)["thresholds"][threshold] == value
+        verdicts.append(code if field is None else read_report(out)["payload"][field])
+    assert verdicts[0] != verdicts[1], verdicts
 
 
 def test_zero_rank_tolerance_means_machine_precision(tmp_path, capsys):
@@ -485,6 +573,33 @@ def test_input_digest_is_of_the_file_read_when_the_output_replaces_it(tmp_path, 
     assert written != read
     assert report["inputs"]["system"]["sha256"] == read
     assert report["payload"]["sha256"] == written
+
+
+def test_an_input_too_large_for_memory_is_one_input_error_document(tmp_path, capsys, monkeypatch):
+    def system_text(n):
+        return json.dumps({"version": "kgframes.system/1", "ambient_dim": n, "field": "complex", "blocks": []})
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    huge, small, out_path = tmp_path / "huge.json", tmp_path / "small.json", tmp_path / "out.json"
+    huge.write_text(system_text(10**9))  # numpy refuses its identity K before allocating
+    small.write_text(system_text(3))
+    code, out, err = run_cli(capsys, "bounds", str(huge))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError" and "ambient_dim 1000000000" in error["message"]
+    with monkeypatch.context() as m:
+        m.setattr(np, "eye", no_memory)
+        code, out, err = run_cli(capsys, "bounds", str(small))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError" and "ambient_dim 3" in error["message"]
+    monkeypatch.setattr(constructions, "overlap_chain_system", no_memory)
+    code, out, err = run_cli(capsys, "gen", "example1", "--n", "8", "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "InputError", "message": "not enough memory: Unable to allocate 8.00 GiB"}
+    assert not out_path.exists()
 
 
 def test_missing_input_file_is_an_input_error(tmp_path, capsys):

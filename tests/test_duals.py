@@ -33,7 +33,7 @@ from kgframes import (
     range_projector,
     truncated_neumann_dual,
 )
-from kgframes.duals import DUAL_EXACT_TOL, NEUMANN_STOP_RTOL
+from kgframes.linops import DUAL_EXACT_TOL, NEUMANN_STOP_RTOL
 from kgframes.linops import op_norm
 
 from oracles import (
@@ -130,7 +130,7 @@ def test_unusable_exact_dual_tolerances_raise(tol):
     with pytest.raises(ValueError, match="exact_tol"):
         approx_defect(ksys.system, cand, ksys.k, exact_tol=tol)
     with pytest.raises(ValueError, match="exact_tol"):
-        is_kg_dual(ksys.system, cand, ksys.k, tol=tol)
+        is_kg_dual(ksys.system, cand, ksys.k, exact_tol=tol)
 
 
 def test_perturbed_dual_hits_requested_defect():

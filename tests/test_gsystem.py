@@ -220,7 +220,7 @@ def test_classify_overlap_chain_is_tight_relative_to_k():
     # is rounding noise (~1e-16), which no tolerance may count as positive
     for n in (8, 12):
         for tol in (1e-10, 1e-18, 1e-300):
-            rep = classify(overlap_chain_system(n), tol=tol)
+            rep = classify(overlap_chain_system(n), rank_tol=tol)
             assert rep.is_tight_kg_frame
             assert rep.label is Classification.TIGHT_KG_FRAME
 
@@ -247,14 +247,14 @@ def test_classify_g_bessel_only_when_range_condition_fails():
 def test_classify_rejects_negative_and_non_finite_tolerances():
     for tol in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ValueError):
-            classify(_identity_system(3), tol=tol)
+            classify(_identity_system(3), rank_tol=tol)
 
 
 @pytest.mark.parametrize("ksys", [overlap_chain_system(8), corner_projection_system(6),
                                   random_kg_system(8, [2] * 6, 3, 0)])
 def test_classify_at_zero_tolerance_is_machine_precision(ksys):
     # any tolerance below machine precision, 0 included, gives the same cut
-    assert classify(ksys, tol=0.0) == classify(ksys, tol=1e-300)
+    assert classify(ksys, rank_tol=0.0) == classify(ksys, rank_tol=1e-300)
 
 
 @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0])

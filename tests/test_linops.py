@@ -1,4 +1,7 @@
-"""Tests for the dense linear-algebra helpers."""
+"""Tests for the dense linear-algebra helpers and the tolerance policy."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,25 @@ from kgframes import (
     range_projector,
     svd_values,
 )
+from kgframes import cli, constructions, duals, gsystem, linops, redundancy
 from kgframes.linops import as_operator, as_vector, range_basis
 
 from oracles import complex_gaussian, power_iteration_norm, random_unit_vector
+
+
+@pytest.mark.parametrize("module", (gsystem, duals, redundancy, constructions, cli))
+def test_every_threshold_is_bound_in_linops_alone(module):
+    assert all(isinstance(getattr(linops, name), float) for name in linops.THRESHOLDS)
+    assert [name for name in linops.THRESHOLDS if hasattr(module, name)] == []
+
+
+def test_the_readme_tolerance_table_lists_the_linops_thresholds():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+    assert {name: float(value) for name, value in rows} == {
+        name: getattr(linops, name) for name in linops.THRESHOLDS}
+    assert len(rows) == len(linops.THRESHOLDS)
 
 
 def test_as_operator_rejects_non_finite():

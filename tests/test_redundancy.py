@@ -32,8 +32,8 @@ from kgframes import (
     random_kg_system,
     reduced_system,
 )
-from kgframes.gsystem import RANGE_INCLUSION_RTOL
-from kgframes import redundancy
+from kgframes.linops import RANGE_INCLUSION_RTOL
+from kgframes import linops, redundancy
 from kgframes.redundancy import _fatal_removals, _removed_rows, _survival_floor
 
 from oracles import (
@@ -493,6 +493,23 @@ def test_fatal_removal_certificate_declines_near_the_range_threshold(k_component
     reports = brute_force_erasure_search(ksys, 2)
     _assert_equals_reference(ksys, reports, 1e-10)
     assert (reports[-1].actual_lower_bound is None) == (k_component > 1.0)
+
+
+def test_a_moved_range_threshold_reaches_every_decision_of_the_search(monkeypatch):
+    # the rows of the test above with K = diag(1, 1, 0.05): K's component
+    # along e3, the kernel left by dropping blocks 1 and 2, is inside 0.1 ||K||
+    rng = np.random.default_rng(6)
+    u, _ = np.linalg.qr(complex_gaussian(rng, (3, 3)))
+    rows = (np.eye(3)[:2], np.eye(3)[2:], np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0))
+    k = np.diag([1.0, 1.0, 0.05])
+    ksys = KGSystem(GSystem(3, tuple(r @ u for r in rows)), u.conj().T @ k @ u)
+    assert brute_force_erasure_search(ksys, 2)[-1].actual_lower_bound is None
+    monkeypatch.setattr(linops, "RANGE_INCLUSION_RTOL", 0.1)
+    reports = brute_force_erasure_search(ksys, 2)
+    assert reports[-1].removed == (1, 2)
+    assert reports[-1].actual_lower_bound == optimal_bounds(reduced_system(ksys, (1, 2))).kg_lower_opt
+    assert reports[-1].survives
+    _assert_equals_reference(ksys, reports, 1e-10)
 
 
 def _grouping_system() -> KGSystem:

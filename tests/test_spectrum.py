@@ -38,7 +38,7 @@ from kgframes import (
     range_condition_holds,
     truncated_neumann_dual,
 )
-from kgframes.duals import DUAL_EXACT_TOL
+from kgframes.linops import DUAL_EXACT_TOL
 
 from oracles import (
     bisect_kg_lower_bound,
