@@ -161,32 +161,32 @@ class SubspaceFrameFamily:
         return fam.T @ fam.conj()
 
     @classmethod
-    def from_vectors(cls, families, tol: float = linops.DEFAULT_RANK_TOL) -> "SubspaceFrameFamily":
+    def from_vectors(cls, families, rank_tol: float = linops.DEFAULT_RANK_TOL) -> "SubspaceFrameFamily":
         fams = tuple(linops.as_operator(raw) for raw in families)
         if not fams:
             raise NotAFrameError("family list is empty")
-        bounds = [_spanning_bounds(cls.frame_operator_of(f), j, tol) for j, f in enumerate(fams)]
+        bounds = [_spanning_bounds(cls.frame_operator_of(f), j, rank_tol) for j, f in enumerate(fams)]
         lowers, uppers = zip(*bounds)
         return cls(fams, float(min(lowers)), float(max(uppers)))
 
 
-def _spanning_bounds(fam_op: np.ndarray, j: int, tol: float) -> tuple[float, float]:
-    """Bounds of family j from its frame operator; NotAFrameError unless it spans at ``tol``."""
+def _spanning_bounds(fam_op: np.ndarray, j: int, rank_tol: float) -> tuple[float, float]:
+    """Bounds of family j from its frame operator; NotAFrameError unless it spans at ``rank_tol``."""
     if fam_op.shape[0] < 1:
         raise NotAFrameError(f"family {j} lives in a zero-dimensional space")
     evals = linops.hermitian_eigvals(fam_op)
     top = max(float(evals[-1]), 0.0)
     bottom = float(evals[0])
-    if bottom <= linops.rank_cutoff(top, evals.size, tol):
+    if bottom <= linops.rank_cutoff(top, evals.size, rank_tol):
         raise NotAFrameError(f"family {j} does not span its space")
     return bottom, top
 
 
-def _canonical_duals(families, tol: float) -> tuple[np.ndarray, ...]:
-    """Canonical dual rows S_j^{-1} f of each family; NotAFrameError unless all span at ``tol``."""
+def _canonical_duals(families, rank_tol: float) -> tuple[np.ndarray, ...]:
+    """Canonical dual rows S_j^{-1} f of each family; NotAFrameError unless all span at ``rank_tol``."""
     ops = [SubspaceFrameFamily.frame_operator_of(fam) for fam in families]
     for j, fam_op in enumerate(ops):
-        _spanning_bounds(fam_op, j, tol)
+        _spanning_bounds(fam_op, j, rank_tol)
     return tuple(np.linalg.solve(fam_op, fam.T).T for fam_op, fam in zip(ops, families))
 
 
@@ -263,7 +263,7 @@ def tight_relation_check(ksys: KGSystem) -> TightRelationReport:
     a2 = report.bessel_upper_opt if is_tight_g else None
 
     # K K^* = U diag(sigma^2) U^* with U unitary, so its distance from c I is max |sigma^2 - c|
-    kk_evals = ksys.spectrum.k_svals**2
+    kk_evals = ksys.k_svals**2
     kk_norm = float(kk_evals[0])
     c = float(kk_evals.sum()) / ksys.ambient_dim
     kk_is_scalar = _is_scalar(kk_norm, float(kk_evals[-1]))

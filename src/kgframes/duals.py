@@ -131,19 +131,18 @@ def _canonical_factors(ksys: KGSystem, rank_tol: float) -> tuple[np.ndarray, np.
     """L pinv(S) B and the range basis B of K; the canonical dual is (L pinv(S) B) B^*."""
     if not range_condition_holds(ksys, rank_tol):
         raise RangeConditionError("range(K) is not contained in range(S)")
-    spec = ksys.spectrum
-    support = spec.s_support(rank_tol)
-    v = spec.s_evecs[:, support]
-    b = spec.k_range(rank_tol)
+    support = ksys.s_support(rank_tol)
+    v = ksys.s_evecs[:, support]
+    b = ksys.k_range(rank_tol)
     # pinv(S) B = V diag(1/w) V^* B over the support of S
-    left = (v / spec.s_evals[support]) @ (v.conj().T @ b)
+    left = (v / ksys.s_evals[support]) @ (v.conj().T @ b)
     return ksys.system.matrix @ left, b
 
 
 def _compress(system: GSystem, candidate: GSystem, k, rank_tol: float):
     """The range basis B of K, T B, M B and the compression C = B^* M B.
 
-    B comes from the spectrum of the system that owns ``k``, and M B =
+    B comes from the cached SVD of the system that owns ``k``, and M B =
     L^* (T B) is formed as conj(L^T conj(T B)), so neither M nor a conjugated
     copy of L exists. The callers that use the defect take it as
     ||(I - M) P|| = ||B - M B||, a norm on range(K) only.

@@ -90,7 +90,13 @@ def _split_rows(a: np.ndarray, offsets: tuple[int, ...]) -> tuple[np.ndarray, ..
 
 @dataclass(frozen=True, eq=False)
 class KGSystem:
-    """A g-system together with the square ambient operator ``K``."""
+    """A g-system together with the square ambient operator ``K``.
+
+    Caches K's reduced SVD and one ``eigh`` of S = L^* L, each taken when
+    first read, so a consumer of K alone never factors S; instances are
+    immutable, so neither goes stale. Everything that depends on a tolerance
+    (ranks, range bases, S^+, P_K, the S^{+/2} K norm) is derived per call.
+    """
 
     system: GSystem
     k: np.ndarray
@@ -108,95 +114,51 @@ class KGSystem:
         return self.system.ambient_dim
 
     @functools.cached_property
-    def spectrum(self) -> "KGSpectrum":
-        """The spectral factorization of this system: K's on first use, S's on first read.
-
-        Instances are immutable, so the cached factorization never goes stale.
-        """
-        return KGSpectrum.of(self)
-
-
-# Each live KGSystem under the id of the K it owns, so the duals that take a
-# raw ``k`` can find the cached factorization of a system's own K. Weak, so
-# it keeps no system alive; a bridge until those duals take the KGSystem.
-_K_OWNERS: "weakref.WeakValueDictionary[int, KGSystem]" = weakref.WeakValueDictionary()
-
-
-def _k_range(k, n: int, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of range(K), from the spectrum of the system that owns ``k``.
-
-    A ``k`` that no live :class:`KGSystem` of ambient dimension ``n`` owns
-    gets an owner without blocks for the call, which checks its shape and
-    entries. K is factored once per owner; S is not factored.
-    """
-    owner = _K_OWNERS.get(id(k))
-    # ``is`` rules out an id reused by another array
-    if owner is None or owner.k is not k or owner.ambient_dim != n:
-        owner = KGSystem(GSystem(n, ()), k)
-    return owner.spectrum.k_range(rank_tol)
-
-
-@dataclass(frozen=True, eq=False)
-class KGSpectrum:
-    """One reduced SVD of K and, on first use, one eigendecomposition of S.
-
-    ``rows`` is the stacked block matrix L (S = L^* L). ``k_svals`` are K's
-    singular values, descending, and ``k_range_basis`` its left singular
-    vectors above the machine-precision cutoff (``tol = 0``). The eigenpairs
-    of S take one ``eigh`` when first read, so a consumer of K alone never
-    factors S. Everything else (ranks, range bases, S^+, P_K, the S^{+/2} K
-    norm) depends on a tolerance and is derived per call.
-    """
-
-    rows: np.ndarray
-    k_svals: np.ndarray
-    k_range_basis: np.ndarray
-
-    @classmethod
-    def of(cls, ksys: KGSystem) -> "KGSpectrum":
-        u, sv, _ = np.linalg.svd(ksys.k, full_matrices=False)
+    def _k_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        u, sv, _ = np.linalg.svd(self.k, full_matrices=False)
         rank = np.count_nonzero(sv > linops.rank_cutoff(float(sv[0]), sv.size, 0.0))
         basis = np.array(u[:, :rank])  # a copy, so the rest of U is freed
         sv.setflags(write=False)
         basis.setflags(write=False)
-        return cls(ksys.system.matrix, sv, basis)
+        return sv, basis
 
     @functools.cached_property
     def _s_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(_gram(self.rows))
+        w, v = np.linalg.eigh(_gram(self.system.matrix))
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
 
+    k_svals = property(lambda self: self._k_svd[0], doc="Singular values of K, descending.")
+    k_range_basis = property(lambda self: self._k_svd[1], doc="K's left singular vectors above the cutoff at 0.")
     s_evals = property(lambda self: self._s_eigh[0], doc="Eigenvalues of S, ascending.")
     s_evecs = property(lambda self: self._s_eigh[1], doc="Eigenvectors of S, as ``s_evals``.")
 
-    def s_support(self, tol: float) -> np.ndarray:
-        """Mask of the eigenvalues of S above the rank cutoff at ``tol``: range(S)."""
-        top = max(float(self.s_evals[-1]), 0.0)
-        return self.s_evals > linops.rank_cutoff(top, self.s_evals.size, tol)
+    def s_support(self, rank_tol: float) -> np.ndarray:
+        """Mask of the eigenvalues of S above the rank cutoff at ``rank_tol``: range(S)."""
+        return _support(self.s_evals, rank_tol)
 
     @property
     def k_norm(self) -> float:
         """||K||, the largest singular value of K."""
         return float(self.k_svals[0])
 
-    def k_rank(self, tol: float) -> int:
+    def k_rank(self, rank_tol: float) -> int:
         """Numerical rank of K at the relative cutoff."""
-        cutoff = linops.rank_cutoff(self.k_norm, self.k_svals.size, tol)
+        cutoff = linops.rank_cutoff(self.k_norm, self.k_svals.size, rank_tol)
         return int(np.count_nonzero(self.k_svals > cutoff))
 
-    def k_range(self, tol: float) -> np.ndarray:
+    def k_range(self, rank_tol: float) -> np.ndarray:
         """Orthonormal basis of range(K) at the cutoff, one vector per column."""
-        return self.k_range_basis[:, : self.k_rank(tol)]
+        return self.k_range_basis[:, : self.k_rank(rank_tol)]
 
-    def k_lower(self, tol: float) -> float:
+    def k_lower(self, rank_tol: float) -> float:
         """The lower bound of K^* (smallest singular value of K).
 
         Reported as 0.0 when it lies below the rank cutoff, i.e. when K is
         numerically singular.
         """
-        return float(self.k_svals[-1]) if self.k_rank(tol) == self.k_svals.size else 0.0
+        return float(self.k_svals[-1]) if self.k_rank(rank_tol) == self.k_svals.size else 0.0
 
     def k_in(self, vecs: np.ndarray) -> np.ndarray:
         """K, up to a unitary on the right, in the orthonormal columns of ``vecs``.
@@ -209,6 +171,26 @@ class KGSpectrum:
         """
         basis = self.k_range_basis
         return (np.swapaxes(vecs.conj(), -1, -2) @ basis) * self.k_svals[: basis.shape[1]]
+
+
+# Each live KGSystem under the id of the K it owns, so the duals that take a
+# raw ``k`` can find the cached factorization of a system's own K. Weak, so
+# it keeps no system alive; a bridge until those duals take the KGSystem.
+_K_OWNERS: "weakref.WeakValueDictionary[int, KGSystem]" = weakref.WeakValueDictionary()
+
+
+def _k_range(k, n: int, rank_tol: float) -> np.ndarray:
+    """Orthonormal basis of range(K), from the cached SVD of the system that owns ``k``.
+
+    A ``k`` that no live :class:`KGSystem` of ambient dimension ``n`` owns
+    gets an owner without blocks for the call, which checks its shape and
+    entries. K is factored once per owner; S is not factored.
+    """
+    owner = _K_OWNERS.get(id(k))
+    # ``is`` rules out an id reused by another array
+    if owner is None or owner.k is not k or owner.ambient_dim != n:
+        owner = KGSystem(GSystem(n, ()), k)
+    return owner.k_range(rank_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,11 +332,35 @@ def _norm_at_most(x: np.ndarray, limit: float) -> bool:
     return linops.op_norm(x) <= limit
 
 
+def _support(w: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Mask of the eigenvalues above the rank cutoff at ``rank_tol``, for an
+    ascending spectrum or each row of a stack of them: range(S)."""
+    return w > linops.rank_cutoff(1.0, w.shape[-1], rank_tol) * np.maximum(w[..., -1:], 0.0)
+
+
+def _range_holds(support: np.ndarray, y: np.ndarray, k_norm: float) -> np.ndarray:
+    """Whether range(K) lies in range(S), for each system of a stack: the package's one test.
+
+    ``support[i]`` masks range(S) in S's eigenbasis and ``y[i]`` is K in that
+    basis (:meth:`KGSystem.k_in`); its rows outside the support must have
+    norm at most ``linops.RANGE_INCLUSION_RTOL`` ||K||.
+    """
+    limit = linops.RANGE_INCLUSION_RTOL * k_norm
+    return np.array([mask.all() or _norm_at_most(rows[~mask], limit)
+                     for mask, rows in zip(support, y)], dtype=bool)
+
+
 def range_condition_holds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> bool:
-    """Whether range(K) is contained in range(S) at the working tolerance."""
-    spec = ksys.spectrum
-    outside = spec.k_in(spec.s_evecs[:, ~spec.s_support(rank_tol)])
-    return _norm_at_most(outside, linops.RANGE_INCLUSION_RTOL * spec.k_norm)
+    """Whether range(K) is contained in range(S) at the working tolerance.
+
+    Decided by :func:`optimal_bounds`'s own test, so it holds exactly when
+    that bound relative to K exists, K = 0 aside (the inclusion holds, and
+    no bound is reported).
+    """
+    support = ksys.s_support(rank_tol)
+    # S of full rank: no product, and K need not be factored
+    return bool(support.all() or _range_holds(
+        support[np.newaxis], ksys.k_in(ksys.s_evecs)[np.newaxis], ksys.k_norm)[0])
 
 
 def optimal_bounds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> BoundReport:
@@ -376,18 +382,17 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) ->
         optimal g-frame lower bound the smallest. The optimal lower bound
         relative to K is ``1 / ||S^{+/2} K||^2``, valid exactly when
         range(K) lies inside range(S); otherwise the field is None.
-        Everything comes from the cached :attr:`KGSystem.spectrum`; the
-        one dense computation per call is the norm of S^{+/2} K, and a
-        second, of S - A K K^*, is taken only when its Frobenius norm does
-        not decide tightness.
+        Everything comes from the system's cached factorizations of K and
+        S; the one dense computation per call is the norm of S^{+/2} K,
+        and a second, of S - A K K^*, is taken only when its Frobenius norm
+        does not decide tightness.
     """
-    spec = ksys.spectrum
-    w = spec.s_evals
+    w = ksys.s_evals
     bessel = max(float(w[-1]), 0.0)
     g_lower = max(float(w[0]), 0.0)
 
-    y = spec.k_in(spec.s_evecs)
-    kg_lower = _kg_lower(w[np.newaxis], y[np.newaxis], spec.k_norm, rank_tol)[0]
+    y = ksys.k_in(ksys.s_evecs)
+    kg_lower = _kg_lower(w[np.newaxis], y[np.newaxis], ksys.k_norm, rank_tol)[0]
 
     tight = False
     if kg_lower is not None:
@@ -395,28 +400,25 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) ->
         # and ||A K K^*|| = A ||K||^2
         diff = -kg_lower * (y @ y.conj().T)
         diff[np.diag_indices_from(diff)] += w
-        tight = _norm_at_most(diff, linops.TIGHT_RTOL * max(bessel, kg_lower * spec.k_norm**2))
+        tight = _norm_at_most(diff, linops.TIGHT_RTOL * max(bessel, kg_lower * ksys.k_norm**2))
     return BoundReport(bessel, g_lower, kg_lower, tight, kg_lower if tight else None)
 
 
 def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> list[float | None]:
     """The optimal lower bound relative to K of each system of a stack, None
-    where range(K) is not in range(S).
+    where range(K) is not in range(S) (:func:`_range_holds`).
 
     Row i of ``w`` holds the eigenvalues of one frame operator, ascending, and
-    ``y[i]`` is K in its eigenbasis (:meth:`KGSpectrum.k_in`), so S^{+/2} K
+    ``y[i]`` is K in its eigenbasis (:meth:`KGSystem.k_in`), so S^{+/2} K
     is the support rows of ``y[i]`` over sqrt(w). The support, the eigenvalues
     above the rank cutoff, is a suffix of each row; the systems of one support
     size share one stacked SVD, taken by ``np.linalg.norm``, for the norm of
     S^{+/2} K.
     """
     n = w.shape[1]
-    support = w > linops.rank_cutoff(1.0, n, rank_tol) * np.maximum(w[:, -1:], 0.0)
+    support = _support(w, rank_tol)
     sizes = np.count_nonzero(support, axis=1)
-    limit = linops.RANGE_INCLUSION_RTOL * k_norm
-    # a full support leaves no rows outside it, and an empty residual passes
-    holds = np.array([size == n or _norm_at_most(rows[~mask], limit)
-                      for size, rows, mask in zip(sizes, y, support)], dtype=bool)
+    holds = _range_holds(support, y, k_norm)
     lowers: list[float | None] = [None] * len(w)
     for size in set(sizes[holds].tolist()):
         members = np.flatnonzero(holds & (sizes == size))
@@ -446,10 +448,9 @@ def classify(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> Class
     ``rank_tol = 0`` means machine precision, as everywhere in the package.
     """
     report = optimal_bounds(ksys, rank_tol=rank_tol)
-    spec = ksys.spectrum
-    c = spec.k_lower(rank_tol)
+    c = ksys.k_lower(rank_tol)
 
-    is_g = spec.s_support(rank_tol).all()
+    is_g = ksys.s_support(rank_tol).all()
     is_kg = report.kg_lower_opt is not None
     tight_g = is_g and _is_scalar(report.bessel_upper_opt, report.g_lower_opt)
 

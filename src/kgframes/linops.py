@@ -90,15 +90,15 @@ def hermitian_eigvals(m) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
-def rank_cutoff(top: float, dim: int, tol: float) -> float:
+def rank_cutoff(top: float, dim: int, rank_tol: float) -> float:
     """The cutoff below which a singular value or eigenvalue counts as zero.
 
     ``top`` is the largest one and ``dim`` the larger matrix dimension. The
-    cutoff is ``max(tol, dim * eps) * top``: a tolerance below machine
+    cutoff is ``max(rank_tol, dim * eps) * top``: a tolerance below machine
     precision, 0 included, means machine precision. Raises ``ValueError``
-    unless ``0 <= tol < inf``.
+    unless ``0 <= rank_tol < inf``.
     """
-    return max(_checked_tol(tol), dim * sys.float_info.epsilon) * top
+    return max(_checked_tol(rank_tol), dim * sys.float_info.epsilon) * top
 
 
 def _checked_tol(tol: float, name: str = "rank tolerance") -> float:
@@ -112,25 +112,25 @@ def _checked_tol(tol: float, name: str = "rank tolerance") -> float:
     return tol
 
 
-def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], tol: float) -> float:
-    return rank_cutoff(float(s[0]) if s.size else 0.0, max(shape), tol)
+def _sv_cutoff(s: np.ndarray, shape: tuple[int, int], rank_tol: float) -> float:
+    return rank_cutoff(float(s[0]) if s.size else 0.0, max(shape), rank_tol)
 
 
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
+def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above the relative cutoff."""
     a = as_operator(m)
     s = svd_values(a)
-    return int(np.count_nonzero(s > _sv_cutoff(s, a.shape, tol)))
+    return int(np.count_nonzero(s > _sv_cutoff(s, a.shape, rank_tol)))
 
 
-def pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a relative singular-value cutoff.
 
     Parameters
     ----------
     m : array_like
         Matrix to invert, any shape.
-    tol : float
+    rank_tol : float
         Singular values at or below :func:`rank_cutoff` of ``sigma_max`` are
         treated as zero.
 
@@ -139,50 +139,50 @@ def pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     numpy.ndarray
         The pseudo-inverse, with shape transposed relative to ``m``.
     """
-    _checked_tol(tol)
+    _checked_tol(rank_tol)
     a = as_operator(m)
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = _sv_cutoff(s, a.shape, tol)
+    cutoff = _sv_cutoff(s, a.shape, rank_tol)
     s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vh.conj().T * s_inv) @ u.conj().T
 
 
-def range_basis(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def range_basis(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of ``m``, one vector per column.
 
     The columns are the leading left singular vectors; their number is the
     numerical rank of ``m`` at the given relative cutoff (zero for a zero or
     empty matrix).
     """
-    _checked_tol(tol)
+    _checked_tol(rank_tol)
     a = as_operator(m)
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : int(np.count_nonzero(s > _sv_cutoff(s, a.shape, tol)))]
+    return u[:, : int(np.count_nonzero(s > _sv_cutoff(s, a.shape, rank_tol)))]
 
 
-def range_projector(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthogonal projector onto the column space of ``m``.
 
     The result is Hermitian and idempotent; its trace equals the numerical
     rank of ``m`` at the given relative cutoff.
     """
-    basis = range_basis(m, tol)
+    basis = range_basis(m, rank_tol)
     p = basis @ basis.conj().T
     return (p + p.conj().T) / 2.0
 
 
-def psd_sqrt_pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def psd_sqrt_pinv(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Pseudo-inverse square root of a Hermitian positive semidefinite matrix.
 
     Parameters
     ----------
     m : array_like
         Square matrix, Hermitian PSD within the tolerance.
-    tol : float
+    rank_tol : float
         Relative cutoff used both to test definiteness and to drop the
         numerically zero part of the spectrum.
 
@@ -194,26 +194,27 @@ def psd_sqrt_pinv(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Raises
     ------
     NotPSDError
-        If ``m`` is not Hermitian or has an eigenvalue below ``-tol * |m|``,
-        both relative to the largest entry ``|m|`` of ``m`` itself, so the
-        verdict does not change when ``m`` is rescaled.
+        If ``m`` is not Hermitian or has an eigenvalue below ``-rel * |m|``,
+        ``rel = max(rank_tol, n * eps)``, both relative to the largest entry
+        ``|m|`` of ``m`` itself, so the verdict does not change when ``m`` is
+        rescaled.
     """
-    _checked_tol(tol)
+    _checked_tol(rank_tol)
     a = as_operator(m)
     if a.shape[0] != a.shape[1]:
         raise NotPSDError(f"matrix is not square: {a.shape}")
     if a.size == 0:
         return a.copy()
     scale = float(np.abs(a).max())
-    tol = rank_cutoff(1.0, a.shape[0], tol)
-    if float(np.abs(a - a.conj().T).max()) > tol * scale:
+    rel = rank_cutoff(1.0, a.shape[0], rank_tol)
+    if float(np.abs(a - a.conj().T).max()) > rel * scale:
         raise NotPSDError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     top = max(float(w[-1]), 0.0)
-    if float(w[0]) < -tol * max(top, scale):
+    if float(w[0]) < -rel * max(top, scale):
         raise NotPSDError(f"matrix has a negative eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
-    cutoff = tol * top
+    cutoff = rel * top
     inv_sqrt = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
     q = (v * inv_sqrt) @ v.conj().T
     return (q + q.conj().T) / 2.0

@@ -115,12 +115,11 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
 
     No reduced system is built. A removal that :func:`_fatal_removals` proves
     fatal is None, and a removal of no rows takes S's own eigendecomposition
-    from the spectrum. The others are taken in stacked passes per kept-row
+    from the system's cache. The others are taken in stacked passes per kept-row
     count, each within STACK_BYTES: one product forms their frame operators
-    and each takes one ``eigh``. K's factorization comes from the full
-    system's spectrum, which every subset shares.
+    and each takes one ``eigh``. K's factorization is the full system's
+    cached SVD, which every subset shares.
     """
-    spec = ksys.spectrum
     l = ksys.system.matrix
     num_rows, n = l.shape
     removed = _removed_rows(ksys.system, subsets)
@@ -129,8 +128,8 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
     lowers: list[float | None] = [None] * len(subsets)
     whole = np.flatnonzero(live & (kept == num_rows))
     if whole.size:
-        y = spec.k_in(spec.s_evecs)
-        lower = _kg_lower(spec.s_evals[np.newaxis], y[np.newaxis], spec.k_norm, rank_tol)[0]
+        y = ksys.k_in(ksys.s_evecs)
+        lower = _kg_lower(ksys.s_evals[np.newaxis], y[np.newaxis], ksys.k_norm, rank_tol)[0]
         for i in whole:
             lowers[i] = lower
     for count in set(kept[live & (kept < num_rows)].tolist()):
@@ -141,7 +140,7 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
             v = np.empty((len(members), n, n), dtype=l.dtype)
             for j, g in enumerate(_gram(l[rows])):
                 w[j], v[j] = np.linalg.eigh(g)
-            for i, lower in zip(members, _kg_lower(w, spec.k_in(v), spec.k_norm, rank_tol)):
+            for i, lower in zip(members, _kg_lower(w, ksys.k_in(v), ksys.k_norm, rank_tol)):
                 lowers[i] = lower
     return lowers
 
@@ -167,19 +166,18 @@ def _fatal_removals(ksys: KGSystem, removed: np.ndarray, rank_tol: float) -> np.
     ``linops.RANGE_INCLUSION_RTOL ||K||`` the ``eigh`` path must find range(K)
     outside range(S_red). Anything short of that is left to the ``eigh`` path.
     """
-    spec = ksys.spectrum
     l = ksys.system.matrix
     num_rows, n = l.shape
     gone_rows = np.count_nonzero(removed, axis=1)
     tried = (gone_rows > 0) & (num_rows - gone_rows < n)
     fatal = np.zeros(len(removed), dtype=bool)
-    if not tried.any() or spec.k_norm == 0.0 or not spec.s_support(rank_tol).all():
+    if not tried.any() or ksys.k_norm == 0.0 or not ksys.s_support(rank_tol).all():
         return fatal
-    v = spec.s_evecs
-    fh = ((l @ v) / spec.s_evals) @ v.conj().T  # F^* = L S^{-1}
+    v = ksys.s_evecs
+    fh = ((l @ v) / ksys.s_evals) @ v.conj().T  # F^* = L S^{-1}
     g = fh @ l.conj().T
     row_sq = (l.real**2 + l.imag**2).sum(axis=1)
-    k_norm = spec.k_norm
+    k_norm = ksys.k_norm
     cut = linops.rank_cutoff(1.0, n, rank_tol) / n
     slack = n * np.finfo(np.float64).eps
     limit = 2.0 * linops.RANGE_INCLUSION_RTOL * k_norm
@@ -212,10 +210,9 @@ def _survival_floor(ksys: KGSystem) -> float:
     B = ||L||^2 is the full system's Bessel bound, so the threshold scales with
     the blocks and K; it is infinite for K = 0.
     """
-    spec = ksys.spectrum
-    if spec.k_norm == 0.0:
+    if ksys.k_norm == 0.0:
         return math.inf
-    return linops.SURVIVAL_TOL * max(float(spec.s_evals[-1]), 0.0) / (spec.k_norm * spec.k_norm)
+    return linops.SURVIVAL_TOL * max(float(ksys.s_evals[-1]), 0.0) / (ksys.k_norm * ksys.k_norm)
 
 
 def erasure_norm_count(
@@ -230,12 +227,12 @@ def erasure_norm_count(
     lower bound of the reduced system relative to K.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
-    c = ksys.spectrum.k_lower(rank_tol)
+    c = ksys.k_lower(rank_tol)
     if c == 0.0:
         raise KStarNotBoundedBelowError("the adjoint of K is not bounded below")
     unit_tol = linops.UNIT_NORM_TOL
-    if ksys.spectrum.k_norm > 1.0 + unit_tol:
-        raise NotUnitNormError(f"K has operator norm {ksys.spectrum.k_norm:.12g}, expected at most 1")
+    if ksys.k_norm > 1.0 + unit_tol:
+        raise NotUnitNormError(f"K has operator norm {ksys.k_norm:.12g}, expected at most 1")
     for j in idx:
         norm_j = linops.op_norm(ksys.system.blocks[j])
         if abs(norm_j - 1.0) > unit_tol:
@@ -272,8 +269,7 @@ def erasure_invertibility(
     stored alongside but is not a guaranteed bound.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
-    spec = ksys.spectrum
-    if not spec.s_support(rank_tol).all():
+    if not ksys.s_support(rank_tol).all():
         raise FrameOperatorSingularError("frame operator is singular at tolerance")
     full = optimal_bounds(ksys, rank_tol=rank_tol)
     if full.kg_lower_opt is None or full.kg_lower_opt <= 0.0:
@@ -283,8 +279,8 @@ def erasure_invertibility(
     n = ksys.ambient_dim
     s_removed = partial_frame_operator(ksys.system, idx)
     # S^{-1} S_I through the eigenpairs S = V diag(w) V^*
-    v = spec.s_evecs
-    t = np.eye(n, dtype=np.complex128) - (v / spec.s_evals) @ (v.conj().T @ s_removed)
+    v = ksys.s_evecs
+    t = np.eye(n, dtype=np.complex128) - (v / ksys.s_evals) @ (v.conj().T @ s_removed)
     # T's eigenvalues lie in [0, 1] (0 <= S_I <= S): cut on the scale of I, not of rounding noise
     sv = linops.svd_values(t)
     survives = bool(sv[-1] > linops.rank_cutoff(max(float(sv[0]), 1.0), n, rank_tol))

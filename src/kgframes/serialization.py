@@ -391,7 +391,7 @@ def load_frame_family(path) -> SubspaceFrameFamily:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: families must be a list")
     mats = [matrix_from_json(f, f"{path}: family {j}") for j, f in enumerate(raw)]
-    return SubspaceFrameFamily.from_vectors(mats, tol=0.0)
+    return SubspaceFrameFamily.from_vectors(mats, rank_tol=0.0)
 
 
 def file_digest(path) -> str:

@@ -186,7 +186,7 @@ def test_exactify_drives_defect_below_threshold():
 
 def _pinv_exactified(ksys: KGSystem, candidate: GSystem, rank_tol: float = 1e-10) -> np.ndarray:
     """((T B) pinv(C)) B^*, C = B^* M B: exactification through the pinv of C."""
-    b = ksys.spectrum.k_range(rank_tol)
+    b = ksys.k_range(rank_tol)
     tb = candidate.matrix @ b
     c = b.conj().T @ (ksys.system.matrix.T @ tb.conj()).conj()
     return (tb @ pinv(c, rank_tol)) @ b.conj().T
@@ -451,7 +451,7 @@ def _assert_matches_oracle(system: GSystem, candidate: GSystem, k, f, num_steps:
 
 def test_reconstruction_matches_oracle_on_a_rank_deficient_k():
     ksys = random_kg_system(10, [3] * 6, 4, seed=21)
-    assert ksys.spectrum.k_rank(1e-10) == 4
+    assert ksys.k_rank(1e-10) == 4
     cand = perturbed_dual(ksys, 0.6, seed=2)
     f = random_range_vector(np.random.default_rng(3), ksys.k)
     trace = _assert_matches_oracle(ksys.system, cand, ksys.k, f, 40)
@@ -509,7 +509,7 @@ def test_reconstruction_of_zero_through_k_zero():
     base = random_instance(82)
     n = base.ambient_dim
     ksys = KGSystem(base.system, np.zeros((n, n)))
-    assert ksys.spectrum.k_rank(1e-10) == 0
+    assert ksys.k_rank(1e-10) == 0
     cand = canonical_kg_dual(ksys)
     trace = neumann_reconstruct(ksys.system, cand, ksys.k, np.zeros(n), num_steps=10)
     assert trace.errors == (0.0,)

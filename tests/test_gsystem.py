@@ -9,9 +9,11 @@ from kgframes import (
     DimMismatchError,
     GSystem,
     KGSystem,
+    RangeConditionError,
     analysis,
     approx_defect,
     brute_force_erasure_search,
+    canonical_kg_dual,
     classify,
     corner_projection_system,
     frame_operator,
@@ -273,6 +275,53 @@ def test_unusable_rank_tolerance_raises_for_zero_k_with_or_without_cache(rank_to
     ksys = KGSystem(GSystem(3, (np.eye(3),)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         approx_defect(ksys.system, ksys.system, ksys.k, rank_tol=rank_tol)
-    assert ksys.spectrum is not None
+    assert ksys.k_svals is not None  # K factored and cached
     with pytest.raises(ValueError):
         approx_defect(ksys.system, ksys.system, ksys.k, rank_tol=rank_tol)
+
+
+def _near_kernel_family(seed: int, eps: float) -> KGSystem:
+    """n = 6, S with the one kernel vector q_5, and a rank-3 K whose range
+    leaves range(S) by ``eps`` relative: one column of its left factor gets
+    ``eps ||b||_F q_5``."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    rows = (q[:, :5] * rng.uniform(0.5, 2, 5)).conj().T
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    q5 = q[:, 5:]
+    b -= q5 @ (q5.conj().T @ b)
+    b[:, 0] += eps * np.linalg.norm(b) * q[:, 5]
+    k = b @ (rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+    return KGSystem(GSystem(6, (rows[:2], rows[2:])), k)
+
+
+def _assert_one_range_decision(ksys: KGSystem) -> None:
+    holds = range_condition_holds(ksys)
+    assert holds == (optimal_bounds(ksys).kg_lower_opt is not None)
+    label = classify(ksys).label
+    assert (label is Classification.G_BESSEL_ONLY) == (not holds)
+    if holds:
+        canonical_kg_dual(ksys)
+    else:
+        with pytest.raises(RangeConditionError):
+            canonical_kg_dual(ksys)
+
+
+@pytest.mark.parametrize("seed, eps", [(293, 1.2807887671083303e-08), (291, 1.1034188082085647e-08)])
+def test_range_inclusion_is_decided_once_at_a_rounding_flip(seed, eps):
+    # at these points range(K) leaves range(S) by about RANGE_INCLUSION_RTOL
+    # ||K||, where two differently rounded tests of the inclusion disagreed
+    _assert_one_range_decision(_near_kernel_family(seed, eps))
+
+
+@pytest.mark.parametrize("seed", [6, 11, 13])
+def test_range_inclusion_is_decided_once_on_both_sides_of_its_flip(seed):
+    def holds(eps: float) -> bool:
+        return optimal_bounds(_near_kernel_family(seed, eps)).kg_lower_opt is not None
+
+    lo, hi = 1e-10, 1e-6
+    assert holds(lo) and not holds(hi)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    for eps in (lo, hi):
+        _assert_one_range_decision(_near_kernel_family(seed, eps))

@@ -404,7 +404,7 @@ def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(mo
     # pair is certified fatal from the full factorization; the 13 single
     # removals take one n x n eigh each, and the empty removal reads S's
     ksys = random_kg_system(24, [2] * 13, 8, seed=0)
-    assert ksys.spectrum is not None  # factored before counting starts
+    assert ksys.k_svals is not None  # K factored before counting starts
     counts = _count_eigh_by_kind(monkeypatch)
     reports = brute_force_erasure_search(ksys, 2)
     assert len(reports) == 92
@@ -419,7 +419,7 @@ def test_search_with_a_singular_frame_operator_factors_s_once_and_each_nonempty_
     # 10 rows in n = 6, so three-block removals leave fewer than n rows, but
     # S is singular and the certificate is not tried
     chain = overlap_chain_system(6)
-    assert chain.spectrum is not None  # K is factored; S is factored on first use
+    assert chain.k_svals is not None  # K is factored; S is factored on first use
     counts = _count_eigh_by_kind(monkeypatch)
     reports = brute_force_erasure_search(chain, 3)
     # S itself, on first use, which the empty removal shares, then one per other subset

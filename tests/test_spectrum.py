@@ -1,12 +1,13 @@
-"""Tests for the cached spectral factorization of a K-g-system.
+"""Tests for the cached spectral factorizations of a K-g-system.
 
-Bounds, verdicts and duals computed from ``KGSystem.spectrum`` are checked
+A ``KGSystem`` caches K's reduced SVD and the ``eigh`` of S, each taken on
+first read. Bounds, verdicts and duals computed from them are checked
 against the independent oracles on edge inputs, against metamorphic
 relations (block permutation, unitaries on the coefficient spaces,
 rescaling), and, for the duals that take a raw K, against the n x n
-projector formulas. The duals read K's range basis from the spectrum of the
-live system that owns the K they are given, which factors K once and S only
-when a consumer reads it, and give any other K an owner for the call.
+projector formulas. The duals read K's range basis from the cached SVD of
+the live system that owns the K they are given, which factors K once and S
+only when a consumer reads it, and give any other K an owner for the call.
 """
 
 import gc
@@ -301,12 +302,17 @@ def test_one_factorization_serves_bounds_classification_and_dual(monkeypatch):
 
 
 def test_generated_system_arrives_with_its_factorization(monkeypatch):
+    # the generator's range check factors S; with S of full rank it needs no K
     ksys = random_kg_system(12, [3] * 5, 4, seed=9)
-    spectrum = ksys.spectrum
     counts = _count_decompositions(monkeypatch)
-    assert classify(ksys).label is Classification.G_FRAME
-    assert ksys.spectrum is spectrum
+    evals, evecs = ksys.s_evals, ksys.s_evecs
     assert counts["eigh"] == counts["svd"] == 0
+    svals, basis = ksys.k_svals, ksys.k_range_basis
+    assert counts["svd"] == 1
+    assert classify(ksys).label is Classification.G_FRAME
+    assert ksys.s_evals is evals and ksys.s_evecs is evecs
+    assert ksys.k_svals is svals and ksys.k_range_basis is basis
+    assert counts["eigh"] == 0 and counts["svd"] == 1
 
 
 def _record_svds(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
@@ -323,9 +329,9 @@ def _record_svds(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
 
 
 def _dual_inputs(seed: int = 3):
-    """A system with rank(K) < n whose spectrum is computed, a candidate and a target."""
+    """A system with rank(K) < n whose factorizations are cached, a candidate and a target."""
     ksys = random_kg_system(16, [4] * 6, 7, seed=seed)
-    candidate = perturbed_dual(ksys, 0.4, seed=seed)  # computes the spectrum if not yet done
+    candidate = perturbed_dual(ksys, 0.4, seed=seed)  # factors K and S if not yet done
     target = random_range_vector(np.random.default_rng(seed), np.array(ksys.k))
     return ksys, candidate, target
 
@@ -376,7 +382,7 @@ def test_defect_on_a_fresh_system_factors_only_k(monkeypatch):
     counts = _count_decompositions(monkeypatch)
     svds = _record_svds(monkeypatch)
     cert = approx_defect(fresh.system, candidate, fresh.k)
-    assert svds == [((16, 16), True)]  # K, factored into the owner's spectrum
+    assert svds == [((16, 16), True)]  # K, factored into the owner's cache
     assert approx_defect(fresh.system, candidate, fresh.k) == cert
     assert svds == [((16, 16), True)]  # and not again
     assert counts["eigh"] == counts["eigvalsh"] == 0  # S is not factored
@@ -411,8 +417,8 @@ def test_a_copy_of_k_gives_the_same_results_to_the_bit():
     assert copy.flags.writeable
 
     def results(call):
-        """``call(k)`` for the K of a new owner whose spectrum was never
-        computed (alive for the call), the owned K and a copy."""
+        """``call(k)`` for the K of a new owner whose K was never factored
+        (alive for the call), the owned K and a copy."""
         fresh = KGSystem(system, copy)
         return [call(k) for k in (fresh.k, ksys.k, copy)]
 
