@@ -3,181 +3,20 @@
 The package computes optimal frame constants, canonical and approximate
 dual families, iterative reconstruction traces, lifts to ordinary vector
 frames, and erasure survival certificates, with a JSON CLI on top.
+
+Each module's ``__all__`` is its public API; the package re-exports them all.
 """
 
-from .constructions import (
-    ScaledSystem,
-    SubspaceFrameFamily,
-    TightRelationReport,
-    compose,
-    corner_projection_system,
-    overlap_chain_system,
-    random_frame_family,
-    random_kg_system,
-    scale_weights,
-    tight_relation_check,
-)
-from .duals import (
-    DualCertificate,
-    LiftResult,
-    ReconstructionTrace,
-    approx_defect,
-    canonical_kg_dual,
-    exactify_dual,
-    is_kg_dual,
-    lift_to_vector_frames,
-    mixed_operator,
-    neumann_reconstruct,
-    perturbed_dual,
-    truncated_neumann_dual,
-)
-from .errors import (
-    BadDimError,
-    BadIndexError,
-    ComputationError,
-    DimMismatchError,
-    FrameOperatorSingularError,
-    GenerationFailedError,
-    InputError,
-    KGFrameError,
-    KStarNotBoundedBelowError,
-    NotAFrameError,
-    NotApproxDualError,
-    NotInRangeError,
-    NotKGFrameError,
-    NotPSDError,
-    NotTightError,
-    NotUnitNormError,
-    ParseError,
-    RangeConditionError,
-    TooManySubsetsError,
-    TrivialRangeError,
-    ZeroWeightError,
-)
-from .gsystem import (
-    BlockSequence,
-    BoundReport,
-    Classification,
-    ClassificationReport,
-    GSystem,
-    KGSystem,
-    analysis,
-    classify,
-    frame_operator,
-    optimal_bounds,
-    range_condition_holds,
-    synthesis,
-)
-from .linops import (
-    DEFAULT_RANK_TOL,
-    adjoint,
-    hermitian_eigvals,
-    inner,
-    numerical_rank,
-    op_norm,
-    pinv,
-    psd_sqrt_pinv,
-    range_basis,
-    range_projector,
-    svd_values,
-)
-from .redundancy import (
-    ErasureReport,
-    brute_force_erasure_search,
-    erasure_brute_report,
-    erasure_invertibility,
-    erasure_norm_count,
-    partial_frame_operator,
-    reduced_system,
-)
-from .serialization import (
-    load_frame_family,
-    load_system,
-    load_vector,
-    save_frame_family,
-    save_system,
-    save_vector,
-)
+from .constructions import *
+from .duals import *
+from .errors import *
+from .gsystem import *
+from .linops import *
+from .redundancy import *
+from .serialization import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadDimError",
-    "BadIndexError",
-    "BlockSequence",
-    "BoundReport",
-    "Classification",
-    "ClassificationReport",
-    "ComputationError",
-    "DEFAULT_RANK_TOL",
-    "DimMismatchError",
-    "DualCertificate",
-    "ErasureReport",
-    "FrameOperatorSingularError",
-    "GSystem",
-    "GenerationFailedError",
-    "InputError",
-    "KGFrameError",
-    "KGSystem",
-    "KStarNotBoundedBelowError",
-    "LiftResult",
-    "NotAFrameError",
-    "NotApproxDualError",
-    "NotInRangeError",
-    "NotKGFrameError",
-    "NotPSDError",
-    "NotTightError",
-    "NotUnitNormError",
-    "ParseError",
-    "RangeConditionError",
-    "ReconstructionTrace",
-    "ScaledSystem",
-    "SubspaceFrameFamily",
-    "TightRelationReport",
-    "TooManySubsetsError",
-    "TrivialRangeError",
-    "ZeroWeightError",
-    "adjoint",
-    "analysis",
-    "approx_defect",
-    "brute_force_erasure_search",
-    "canonical_kg_dual",
-    "classify",
-    "compose",
-    "corner_projection_system",
-    "erasure_brute_report",
-    "erasure_invertibility",
-    "erasure_norm_count",
-    "exactify_dual",
-    "frame_operator",
-    "hermitian_eigvals",
-    "inner",
-    "is_kg_dual",
-    "lift_to_vector_frames",
-    "load_frame_family",
-    "load_system",
-    "load_vector",
-    "mixed_operator",
-    "neumann_reconstruct",
-    "numerical_rank",
-    "op_norm",
-    "optimal_bounds",
-    "overlap_chain_system",
-    "partial_frame_operator",
-    "perturbed_dual",
-    "pinv",
-    "psd_sqrt_pinv",
-    "random_frame_family",
-    "random_kg_system",
-    "range_basis",
-    "range_condition_holds",
-    "range_projector",
-    "reduced_system",
-    "save_frame_family",
-    "save_system",
-    "save_vector",
-    "scale_weights",
-    "synthesis",
-    "tight_relation_check",
-    "truncated_neumann_dual",
-]
+# each submodule is bound here by its own import above
+__all__ = sorted(name for module in (constructions, duals, errors, gsystem, linops, redundancy,
+                                     serialization) for name in module.__all__)

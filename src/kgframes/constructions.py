@@ -19,6 +19,10 @@ from .errors import (
 )
 from .gsystem import GSystem, KGSystem, _is_scalar, classify, range_condition_holds
 
+__all__ = ["ScaledSystem", "SubspaceFrameFamily", "TightRelationReport", "compose",
+           "corner_projection_system", "overlap_chain_system", "random_frame_family",
+           "random_kg_system", "scale_weights", "tight_relation_check"]
+
 _MAX_GENERATION_ATTEMPTS = 10
 # random_frame_family draws this many vectors per dimension of each space.
 FRAME_OVERSAMPLE = 2

@@ -39,6 +39,10 @@ from .errors import (
 )
 from .gsystem import GSystem, KGSystem, _k_range, range_condition_holds
 
+__all__ = ["DualCertificate", "LiftResult", "ReconstructionTrace", "approx_defect",
+           "canonical_kg_dual", "exactify_dual", "is_kg_dual", "lift_to_vector_frames",
+           "mixed_operator", "neumann_reconstruct", "perturbed_dual", "truncated_neumann_dual"]
+
 # Default iteration cap of Neumann reconstruction.
 NEUMANN_DEFAULT_STEPS = 50
 

@@ -6,6 +6,12 @@ precondition that failed, so the requested quantity does not exist. The
 command-line driver maps them to distinct exit codes.
 """
 
+__all__ = ["BadDimError", "BadIndexError", "ComputationError", "DimMismatchError",
+           "FrameOperatorSingularError", "GenerationFailedError", "InputError", "KGFrameError",
+           "KStarNotBoundedBelowError", "NotAFrameError", "NotApproxDualError", "NotInRangeError",
+           "NotKGFrameError", "NotPSDError", "NotTightError", "NotUnitNormError", "ParseError",
+           "RangeConditionError", "TooManySubsetsError", "TrivialRangeError", "ZeroWeightError"]
+
 
 class KGFrameError(Exception):
     """Base class for all errors raised by this package."""

@@ -25,6 +25,10 @@ import numpy as np
 from . import linops
 from .errors import DimMismatchError
 
+__all__ = ["BlockSequence", "BoundReport", "Classification", "ClassificationReport", "GSystem",
+           "KGSystem", "analysis", "classify", "frame_operator", "optimal_bounds",
+           "range_condition_holds", "synthesis"]
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, copy=True)
@@ -219,8 +223,9 @@ class BlockSequence:
 class BoundReport:
     """Optimal frame constants of a K-g-system.
 
-    ``kg_lower_opt`` is None when range(K) is not contained in range(S) at
-    the working tolerance (no positive lower bound relative to K exists).
+    ``kg_lower_opt`` is None when there is no finite optimal bound relative
+    to K: when range(K) is not contained in range(S) at the working tolerance
+    (no positive lower bound exists), and when K = 0 (every A > 0 serves).
     ``tight_kg`` records whether S equals ``kg_lower_opt * K K^*`` in the
     operator norm, ||S - A K K^*|| <= ``linops.TIGHT_RTOL`` max(||S||, A ||K||^2)
     with A = ``kg_lower_opt``, the constant then in ``tightness_constant``.
@@ -262,8 +267,10 @@ class ClassificationReport:
     def is_kg_frame(self) -> bool:
         """True when the system satisfies the lower bound relative to K.
 
-        Every g-frame qualifies, since the ordinary lower bound dominates
-        the K-relative one after dividing by ``||K||^2``.
+        Exactly when :func:`range_condition_holds`. Every g-frame qualifies,
+        since the ordinary lower bound dominates the K-relative one after
+        dividing by ``||K||^2``, and so does every system when K = 0, with
+        no finite optimal bound (``bounds.kg_lower_opt`` is None).
         """
         return self.label is not Classification.G_BESSEL_ONLY
 
@@ -355,7 +362,7 @@ def range_condition_holds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_
 
     Decided by :func:`optimal_bounds`'s own test, so it holds exactly when
     that bound relative to K exists, K = 0 aside (the inclusion holds, and
-    no bound is reported).
+    every A > 0 serves, so no finite bound is reported).
     """
     support = ksys.s_support(rank_tol)
     # S of full rank: no product, and K need not be factored
@@ -423,10 +430,8 @@ def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> l
     for size in set(sizes[holds].tolist()):
         members = np.flatnonzero(holds & (sizes == size))
         a = y[members, n - size:] / np.sqrt(w[members, n - size:])[..., np.newaxis]
-        if a.size == 0:  # K = 0 or S = 0: no norm to take, and no bound
-            continue
         for i, denom in zip(members, np.linalg.norm(a, 2, axis=(-2, -1)).tolist()):
-            if denom > 0.0:
+            if denom > 0.0:  # 0 when K = 0 or S = 0 (``a`` empty): no finite bound
                 lowers[i] = 1.0 / (denom * denom)
     return lowers
 
@@ -451,7 +456,8 @@ def classify(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> Class
     c = ksys.k_lower(rank_tol)
 
     is_g = ksys.s_support(rank_tol).all()
-    is_kg = report.kg_lower_opt is not None
+    # K = 0 has no finite bound, yet every A > 0 serves: the inclusion decides
+    is_kg = report.kg_lower_opt is not None or range_condition_holds(ksys, rank_tol)
     tight_g = is_g and _is_scalar(report.bessel_upper_opt, report.g_lower_opt)
 
     if is_g and tight_g:

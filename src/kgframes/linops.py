@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import NotPSDError
 
+__all__ = ["DEFAULT_RANK_TOL", "adjoint", "hermitian_eigvals", "inner", "numerical_rank", "op_norm",
+           "pinv", "psd_sqrt_pinv", "range_basis", "range_projector", "svd_values"]
+
 DEFAULT_RANK_TOL = 1e-10
 # Defect at or below this value certifies an exact dual: the default ``exact_tol``.
 DUAL_EXACT_TOL = 1e-9
@@ -68,18 +71,12 @@ def inner(f, g) -> complex:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm, the largest singular value."""
-    a = as_operator(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(as_operator(m), 2))
 
 
 def svd_values(m) -> np.ndarray:
     """Singular values in descending order (empty for zero-size input)."""
-    a = as_operator(m)
-    if a.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(a, compute_uv=False)
+    return np.linalg.svd(as_operator(m), compute_uv=False)
 
 
 def hermitian_eigvals(m) -> np.ndarray:

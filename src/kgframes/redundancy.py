@@ -33,6 +33,11 @@ from .errors import (
     TooManySubsetsError,
 )
 from .gsystem import GSystem, KGSystem, _gram, _kg_lower, optimal_bounds
+
+__all__ = ["ErasureReport", "brute_force_erasure_search", "erasure_brute_report",
+           "erasure_invertibility", "erasure_norm_count", "partial_frame_operator",
+           "reduced_system"]
+
 # Ceiling on the number of subsets a brute-force enumeration may visit.
 MAX_SUBSETS = 100_000
 # Ceiling on the bytes of working arrays one stacked step of a search holds.
@@ -312,7 +317,8 @@ def erasure_brute_report(
     """Ground-truth report: the optimal bounds of the reduced system.
 
     The reduced system survives when A * ||K||^2 > ``linops.SURVIVAL_TOL`` B, with A its
-    lower bound relative to K and B the full system's Bessel bound.
+    lower bound relative to K and B the full system's Bessel bound. So K = 0
+    never survives: every system is a K-g-frame for it, with no finite A.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
     return _brute_reports(ksys, [idx], rank_tol)[0]

@@ -28,6 +28,9 @@ from .constructions import SubspaceFrameFamily
 from .errors import DimMismatchError, InputError, ParseError
 from .gsystem import GSystem, KGSystem
 
+__all__ = ["load_frame_family", "load_system", "load_vector", "save_frame_family", "save_system",
+           "save_vector"]
+
 SYSTEM_SCHEMA_VERSION = "kgframes.system/1"
 VECTOR_SCHEMA_VERSION = "kgframes.vector/1"
 FRAMES_SCHEMA_VERSION = "kgframes.frames/1"

@@ -120,15 +120,7 @@ def test_range_condition_trivial_cases():
     assert not range_condition_holds(bad)
 
 
-def test_a_zero_k_or_zero_s_has_no_bound_and_takes_no_norm_of_an_empty_matrix(monkeypatch):
-    # numpy releases before 2 raise on the spectral norm of an empty matrix
-    norm = np.linalg.norm
-
-    def strict_norm(x, ord=None, *args, **kwargs):
-        assert ord != 2 or np.size(x), "spectral norm of an empty matrix"
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", strict_norm)
+def test_a_zero_k_or_zero_s_has_no_bound():
     blocks = (complex_gaussian(np.random.default_rng(5), (3, 3)), np.zeros((2, 3)))
     for ksys in (KGSystem(GSystem(3, blocks), np.zeros((3, 3))),
                  KGSystem(GSystem(3, (blocks[1], np.zeros((1, 3)))), np.eye(3))):
@@ -244,6 +236,18 @@ def test_classify_g_bessel_only_when_range_condition_fails():
     assert rep.label is Classification.G_BESSEL_ONLY
     assert not rep.is_kg_frame
     assert rep.bounds.kg_lower_opt is None
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, 1e-10, 1e-3])
+def test_zero_k_is_a_kg_frame_with_no_finite_bound_and_a_zero_dual(rank_tol):
+    ksys = KGSystem(GSystem(5, (complex_gaussian(np.random.default_rng(7), (2, 5)),)), np.zeros((5, 5)))
+    rep = classify(ksys, rank_tol=rank_tol)
+    assert rep.label is Classification.KG_FRAME and rep.is_kg_frame
+    assert range_condition_holds(ksys, rank_tol)
+    assert rep.bounds.kg_lower_opt is None and not rep.g_frame_implied
+    assert not np.any(canonical_kg_dual(ksys, rank_tol).matrix)
+    # survival asks for A ||K||^2 > SURVIVAL_TOL B, which no A reaches at K = 0
+    assert not any(r.survives for r in brute_force_erasure_search(ksys, 1, rank_tol))
 
 
 def test_classify_rejects_negative_and_non_finite_tolerances():

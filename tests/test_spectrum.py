@@ -107,9 +107,11 @@ def _oracle_label(s: np.ndarray, k: np.ndarray, kg_lower) -> str:
     evals = np.linalg.eigvalsh(s)
     if evals[0] > 1e-10 * max(evals[-1], 1e-300):
         return "tight_g_frame" if evals[-1] - evals[0] <= 1e-8 * evals[-1] else "g_frame"
-    if kg_lower is None:
+    if not range_inclusion_oracle(s, k):
         return "g_bessel_only"
-    tight = np.linalg.norm(s - kg_lower * (k @ k.conj().T)) <= 1e-6 * np.linalg.norm(s)
+    # K = 0 is a K-g-frame with no finite optimal bound, so never a tight one
+    tight = kg_lower is not None and (
+        np.linalg.norm(s - kg_lower * (k @ k.conj().T)) <= 1e-6 * np.linalg.norm(s))
     return "tight_kg_frame" if tight else "kg_frame"
 
 
