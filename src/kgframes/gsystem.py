@@ -430,8 +430,10 @@ def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> l
     for size in set(sizes[holds].tolist()):
         members = np.flatnonzero(holds & (sizes == size))
         a = y[members, n - size:] / np.sqrt(w[members, n - size:])[..., np.newaxis]
+        if a.size == 0:  # K = 0 or S = 0: no norm to take, and no bound
+            continue
         for i, denom in zip(members, np.linalg.norm(a, 2, axis=(-2, -1)).tolist()):
-            if denom > 0.0:  # 0 when K = 0 or S = 0 (``a`` empty): no finite bound
+            if denom > 0.0:
                 lowers[i] = 1.0 / (denom * denom)
     return lowers
 

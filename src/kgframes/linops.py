@@ -71,12 +71,18 @@ def inner(f, g) -> complex:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm, the largest singular value."""
-    return float(np.linalg.norm(as_operator(m), 2))
+    a = as_operator(m)
+    if a.size == 0:
+        return 0.0
+    return float(np.linalg.norm(a, 2))
 
 
 def svd_values(m) -> np.ndarray:
     """Singular values in descending order (empty for zero-size input)."""
-    return np.linalg.svd(as_operator(m), compute_uv=False)
+    a = as_operator(m)
+    if a.size == 0:
+        return np.zeros(0)
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def hermitian_eigvals(m) -> np.ndarray:
