@@ -85,7 +85,7 @@ class LiftResult:
     f~). ``residual`` is the operator-norm distance between the two mixed
     operators, which coincide in exact arithmetic. The two full-space
     defects govern the approximate-duality predicate of either family; the
-    restricted defect is reported when K is supplied.
+    restricted defect is the candidate's interchange defect relative to K.
     """
 
     vectors_e: tuple[np.ndarray, ...]
@@ -93,7 +93,7 @@ class LiftResult:
     residual: float
     operator_defect: float
     vector_defect: float
-    restricted_defect: float | None
+    restricted_defect: float
 
 
 def _check_same_shape(system: GSystem, candidate: GSystem) -> None:
@@ -327,7 +327,7 @@ def lift_to_vector_frames(
     system: GSystem,
     candidate: GSystem,
     fams: SubspaceFrameFamily,
-    k=None,
+    k,
     rank_tol: float = linops.DEFAULT_RANK_TOL,
 ) -> LiftResult:
     """Lift an operator-valued dual pair to ordinary vector families.
@@ -344,12 +344,10 @@ def lift_to_vector_frames(
     lifted_f = _flatten(system, _canonical_duals(fams.families, rank_tol))
     lifted_mixed = mixed_operator(lifted_e, lifted_f)
     eye = np.eye(system.ambient_dim, dtype=np.complex128)
-    restricted: float | None = None
-    if k is not None:
-        *_, c = _compress(system, candidate, k, rank_tol)
-        restricted = linops.op_norm(np.eye(c.shape[0]) - c)  # as approx_defect's interchange
+    *_, c = _compress(system, candidate, k, rank_tol)
     return LiftResult(
         tuple(lifted_e.matrix.conj()), tuple(lifted_f.matrix.conj()),
         linops.op_norm(lifted_mixed - swapped), linops.op_norm(eye - swapped),
-        linops.op_norm(eye - lifted_mixed), restricted,
+        linops.op_norm(eye - lifted_mixed),
+        linops.op_norm(np.eye(c.shape[0]) - c),  # as approx_defect's interchange
     )

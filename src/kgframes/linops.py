@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NotPSDError
 
 __all__ = ["DEFAULT_RANK_TOL", "adjoint", "hermitian_eigvals", "inner", "numerical_rank", "op_norm",
-           "pinv", "psd_sqrt_pinv", "range_basis", "range_projector", "svd_values"]
+           "pinv", "psd_sqrt_pinv", "range_projector", "svd_values"]
 
 DEFAULT_RANK_TOL = 1e-10
 # Defect at or below this value certifies an exact dual: the default ``exact_tol``.
@@ -152,28 +152,19 @@ def pinv(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return (vh.conj().T * s_inv) @ u.conj().T
 
 
-def range_basis(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space of ``m``, one vector per column.
+def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthogonal projector onto the column space of ``m``.
 
-    The columns are the leading left singular vectors; their number is the
-    numerical rank of ``m`` at the given relative cutoff (zero for a zero or
-    empty matrix).
+    Built from the leading left singular vectors, as many as the numerical
+    rank of ``m`` at the given relative cutoff (none for a zero or empty
+    matrix). The result is Hermitian and idempotent; its trace equals that rank.
     """
     _checked_tol(rank_tol)
     a = as_operator(m)
     if a.size == 0 or not np.any(a):
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+        return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : int(np.count_nonzero(s > _sv_cutoff(s, a.shape, rank_tol)))]
-
-
-def range_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of ``m``.
-
-    The result is Hermitian and idempotent; its trace equals the numerical
-    rank of ``m`` at the given relative cutoff.
-    """
-    basis = range_basis(m, rank_tol)
+    basis = u[:, : int(np.count_nonzero(s > _sv_cutoff(s, a.shape, rank_tol)))]
     p = basis @ basis.conj().T
     return (p + p.conj().T) / 2.0
 

@@ -243,7 +243,7 @@ def erasure_norm_count(
         if abs(norm_j - 1.0) > unit_tol:
             raise NotUnitNormError(f"block {j} has operator norm {norm_j:.12g}, expected 1")
     full = optimal_bounds(ksys, rank_tol=rank_tol)
-    if full.kg_lower_opt is None or full.kg_lower_opt <= 0.0:
+    if full.kg_lower_opt is None:
         raise NotKGFrameError("system has no positive lower bound relative to K")
     a = full.kg_lower_opt
     margin = a * c * c - len(idx)
@@ -272,14 +272,19 @@ def erasure_invertibility(
     constant serving simultaneously as a lower g-frame bound and a lower
     K-g bound of the full system. The statement-style companion ``A / ||T^{-1}||^2`` is
     stored alongside but is not a guaranteed bound.
+
+    For K = 0 every A > 0 is a lower bound relative to K, so A is the g-frame
+    bound, the guaranteed value is None (K^* T^{-1} = 0) and only the
+    companion is reported. Brute force's rule A * ||K||^2 > SURVIVAL_TOL * B
+    never holds for K = 0, so there this criterion can report a survivor
+    where brute force reports none.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
     if not ksys.s_support(rank_tol).all():
         raise FrameOperatorSingularError("frame operator is singular at tolerance")
+    # S is invertible, so range(K) lies in range(S): only K = 0 has no finite bound relative to K
     full = optimal_bounds(ksys, rank_tol=rank_tol)
-    if full.kg_lower_opt is None or full.kg_lower_opt <= 0.0:
-        raise NotKGFrameError("system has no positive lower bound relative to K")
-    a = min(full.g_lower_opt, full.kg_lower_opt)
+    a = full.g_lower_opt if full.kg_lower_opt is None else min(full.g_lower_opt, full.kg_lower_opt)
 
     n = ksys.ambient_dim
     s_removed = partial_frame_operator(ksys.system, idx)

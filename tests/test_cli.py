@@ -292,6 +292,21 @@ def test_erase_invertibility_on_healthy_system(tmp_path, capsys):
     assert isinstance(payload["survives"], bool)
 
 
+@pytest.mark.parametrize("index, survives", [(0, False), (1, True)])
+def test_erase_invert_on_a_g_frame_with_zero_k(tmp_path, capsys, index, survives):
+    # every A > 0 serves for K = 0: the criterion answers, and guarantees no bound
+    r = np.random.default_rng(0)
+    g = lambda d: r.standard_normal((d, 4)) + 1j * r.standard_normal((d, 4))
+    path = tmp_path / "sys.json"
+    save_system(KGSystem(GSystem(4, (g(4), g(2))), np.zeros((4, 4))), path)
+    code, out, err = run_cli(capsys, "erase", str(path), "--indices", str(index), "--criterion", "invert")
+    assert code == 0, err
+    payload = read_report(out)["payload"]
+    assert payload["survives"] is survives
+    assert payload["predicted_lower_bound"] is None
+    assert (payload["predicted_lower_bound_stated"] is not None) == survives
+
+
 def test_erase_honours_tol_rank(tmp_path, capsys):
     # S = diag(1, 1e-4): invertible at the default rank tolerance, not at 1e-3
     blocks = (np.array([[1.0, 0.0]]), np.array([[0.0, 1e-2]]), np.zeros((1, 2)))
@@ -837,7 +852,7 @@ def test_an_output_that_is_stdout_s_own_file_gets_the_system_then_the_report(
     ("exactify", 1, 0), ("neumann-dual", 1, 0), ("reconstruct", 1, 0),
 ])
 def test_each_command_factors_k_once_and_s_only_if_it_reads_it(
-        tmp_path, capsys, monkeypatch, command, svds, eighs):
+        tmp_path, capsys, linalg_calls, command, svds, eighs):
     ksys = random_kg_system(8, [3, 3, 3, 3], 4, seed=1)
     sys_path, cand, vec, out = (str(tmp_path / f"{name}.json") for name in ("sys", "cand", "vec", "out"))
     save_system(ksys, sys_path)
@@ -849,22 +864,11 @@ def test_each_command_factors_k_once_and_s_only_if_it_reads_it(
         "neumann-dual": [sys_path, cand, "--N", "3", "-o", out],
         "reconstruct": [sys_path, cand, "--vec", vec],
     }[command]
-    calls = []
-    svd, eigh = np.linalg.svd, np.linalg.eigh
-
-    def recording_svd(a, *args, **kwargs):
-        calls.append(("svd", np.shape(a), kwargs.get("compute_uv", True)))
-        return svd(a, *args, **kwargs)
-
-    def recording_eigh(a, *args, **kwargs):
-        calls.append(("eigh", np.shape(a)))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    linalg_calls.clear()
     code, _, err = run_cli(capsys, command, *argv)
     assert code == 0, err
-    assert sorted(calls) == sorted([("svd", (8, 8), True)] * svds + [("eigh", (8, 8))] * eighs)
+    factored = [call for call in linalg_calls if call[0] in ("svd", "eigh")]
+    assert sorted(factored) == sorted([("svd", (8, 8), True)] * svds + [("eigh", (8, 8), None)] * eighs)
 
 
 def test_an_input_that_is_not_a_regular_file_is_rejected(tmp_path):

@@ -19,7 +19,7 @@ from kgframes import (
     svd_values,
 )
 from kgframes import cli, constructions, duals, gsystem, linops, redundancy
-from kgframes.linops import as_operator, as_vector, range_basis
+from kgframes.linops import as_operator, as_vector
 
 from oracles import complex_gaussian, power_iteration_norm, random_unit_vector
 
@@ -37,6 +37,26 @@ def test_the_readme_tolerance_table_lists_the_linops_thresholds():
     assert {name: float(value) for name, value in rows} == {
         name: getattr(linops, name) for name in linops.THRESHOLDS}
     assert len(rows) == len(linops.THRESHOLDS)
+
+
+def test_the_decomposition_recorder_sees_each_factorization_and_no_plain_norm(linalg_calls):
+    m = complex_gaussian(np.random.default_rng(0), (4, 3))
+    s = m @ m.conj().T
+    op_norm(m)
+    svd_values(m)
+    pinv(m)
+    hermitian_eigvals(s)
+    psd_sqrt_pinv(s)
+    np.linalg.solve(s + np.eye(4), np.ones(4))
+    np.linalg.inv(s + np.eye(4))
+    np.linalg.norm(m)  # Frobenius
+    np.linalg.norm(m[:, 0])  # a vector
+    np.linalg.norm(np.stack([m, m]), 2, axis=(-2, -1))
+    assert linalg_calls == [
+        ("norm", (4, 3), None), ("svd", (4, 3), False), ("svd", (4, 3), True),
+        ("eigvalsh", (4, 4), None), ("eigh", (4, 4), None), ("solve", (4, 4), None),
+        ("inv", (4, 4), None), ("norm", (2, 4, 3), None),
+    ]
 
 
 def test_as_operator_rejects_non_finite():
@@ -174,8 +194,14 @@ def test_range_projector_of_zero_matrix():
     assert np.array_equal(range_projector(np.zeros((4, 4))), np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (3, 0), (0, 3)])
+def test_range_projector_of_a_zero_or_empty_matrix_is_the_square_zero(shape):
+    p = range_projector(np.zeros(shape))
+    assert p.shape == (shape[0], shape[0]) and p.dtype == np.complex128 and not p.any()
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
-@pytest.mark.parametrize("fn", [pinv, range_basis, range_projector, numerical_rank, psd_sqrt_pinv])
+@pytest.mark.parametrize("fn", [pinv, range_projector, numerical_rank, psd_sqrt_pinv])
 def test_unusable_tolerance_raises_on_zero_and_empty_matrices(fn, tol):
     # these return early on such matrices; the tolerance is checked first
     for m in (np.zeros((2, 2)), np.zeros((0, 3))):

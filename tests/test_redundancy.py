@@ -215,6 +215,25 @@ def test_invertibility_detects_fatal_removal():
     assert not truth.survives
 
 
+def test_invertibility_answers_for_zero_k():
+    # a g-frame with K = 0: every A > 0 serves, so A is the g-frame bound
+    r = np.random.default_rng(0)
+    g = lambda d: r.standard_normal((d, 4)) + 1j * r.standard_normal((d, 4))
+    ksys = KGSystem(GSystem(4, (g(4), g(2))), np.zeros((4, 4)))
+    assert classify(ksys).label is Classification.G_FRAME
+    kept = erasure_invertibility(ksys, [1])  # block 0 alone spans C^4
+    assert kept.survives
+    # K^* T^{-1} = 0 guarantees nothing; the companion A / ||T^{-1}||^2 is reported
+    assert kept.predicted_lower_bound is None and kept.actual_lower_bound is None
+    inv_norm = kept.invertibility_norm
+    assert kept.predicted_lower_bound_stated == optimal_bounds(ksys).g_lower_opt / (inv_norm * inv_norm)
+    assert not erasure_invertibility(ksys, [0]).survives  # block 1 has 2 rows
+    # brute force's rule A * ||K||^2 > SURVIVAL_TOL * B never holds for K = 0
+    assert not erasure_brute_report(ksys, [1]).survives
+    with pytest.raises(KStarNotBoundedBelowError):
+        erasure_norm_count(ksys, [1])
+
+
 def test_invertibility_matches_brute_force_on_all_small_removals():
     for seed in range(6):
         ksys = full_rank_instance(seed + 40)
@@ -375,38 +394,28 @@ def test_erasure_bounds_match_the_reduced_system_reference(name, scale):
         assert set(ran.values()) == {len(reports)}
 
 
-def _count_eigh_by_kind(monkeypatch) -> dict[str, int]:
+def _tally(calls) -> dict[str, int]:
     """Counts of n x n ``eigh`` calls, batched (3-D) ones, ``eigvalsh`` and SVDs with vectors."""
     counts = {"eigh_nxn": 0, "eigh_batched": 0, "eigvalsh": 0, "svd_with_vectors": 0}
-    eigh, eigvalsh, svd = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd
-
-    def counting_eigh(a, *args, **kwargs):
-        counts["eigh_batched" if np.ndim(a) == 3 else "eigh_nxn"] += 1
-        return eigh(a, *args, **kwargs)
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        counts["eigvalsh"] += 1
-        return eigvalsh(a, *args, **kwargs)
-
-    def counting_svd(a, *args, **kwargs):
-        if kwargs.get("compute_uv", True):
-            counts["svd_with_vectors"] += 1
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for name, shape, compute_uv in calls:
+        if name == "eigh":
+            name = "eigh_batched" if len(shape) == 3 else "eigh_nxn"
+        elif name == "svd" and compute_uv:
+            name = "svd_with_vectors"
+        if name in counts:
+            counts[name] += 1
     return counts
 
 
-def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(monkeypatch):
+def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(linalg_calls):
     # 13 blocks of 2 rows in n = 24: removing two leaves 22 rows, so every
     # pair is certified fatal from the full factorization; the 13 single
     # removals take one n x n eigh each, and the empty removal reads S's
     ksys = random_kg_system(24, [2] * 13, 8, seed=0)
     assert ksys.k_svals is not None  # K factored before counting starts
-    counts = _count_eigh_by_kind(monkeypatch)
+    linalg_calls.clear()
     reports = brute_force_erasure_search(ksys, 2)
+    counts = _tally(linalg_calls)
     assert len(reports) == 92
     assert counts["eigh_nxn"] == 13
     # one batched q x q eigh for the one (size, q) group tried: the pairs, q = 4
@@ -415,16 +424,16 @@ def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(mo
     assert all(r.actual_lower_bound is None for r in reports if len(r.removed) == 2)
 
 
-def test_search_with_a_singular_frame_operator_factors_s_once_and_each_nonempty_removal_once(monkeypatch):
+def test_search_with_a_singular_frame_operator_factors_s_once_and_each_nonempty_removal_once(linalg_calls):
     # 10 rows in n = 6, so three-block removals leave fewer than n rows, but
     # S is singular and the certificate is not tried
     chain = overlap_chain_system(6)
     assert chain.k_svals is not None  # K is factored; S is factored on first use
-    counts = _count_eigh_by_kind(monkeypatch)
+    linalg_calls.clear()
     reports = brute_force_erasure_search(chain, 3)
     # S itself, on first use, which the empty removal shares, then one per other subset
-    assert counts == {"eigh_nxn": len(reports), "eigh_batched": 0,
-                      "eigvalsh": 0, "svd_with_vectors": 0}
+    assert _tally(linalg_calls) == {"eigh_nxn": len(reports), "eigh_batched": 0,
+                                    "eigvalsh": 0, "svd_with_vectors": 0}
 
 
 def _assert_equals_reference(ksys, reports, rank_tol):

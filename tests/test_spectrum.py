@@ -270,64 +270,35 @@ def test_compressed_dual_paths_match_projector_formulas(seed):
                       projector_neumann_factor_of(system, candidate, k, num_terms))
 
 
-def _count_decompositions(monkeypatch) -> dict[str, int]:
-    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm2": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    norm = np.linalg.norm
-
-    def counting_norm(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            counts["norm2"] += 1
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    return counts
+def _tally(calls) -> dict[str, int]:
+    """How many ``eigh``, ``eigvalsh``, ``svd`` and spectral ``norm`` calls ``calls`` holds."""
+    names = [name for name, _, _ in calls]
+    return {name: names.count(name) for name in ("eigh", "eigvalsh", "svd", "norm")}
 
 
-def test_one_factorization_serves_bounds_classification_and_dual(monkeypatch):
+def test_one_factorization_serves_bounds_classification_and_dual(linalg_calls):
     base = random_kg_system(16, [4] * 6, 7, seed=5)
     ksys = KGSystem(base.system, base.k)  # a new instance: nothing cached yet
-    counts = _count_decompositions(monkeypatch)
+    linalg_calls.clear()
     classify(ksys)
     canonical_kg_dual(ksys)
     optimal_bounds(ksys)
     # one eigh of S and one SVD of K in all; one S^{+/2} K norm per bounds call
-    assert counts == {"eigh": 1, "eigvalsh": 0, "svd": 1, "norm2": 2}
+    assert _tally(linalg_calls) == {"eigh": 1, "eigvalsh": 0, "svd": 1, "norm": 2}
 
 
-def test_generated_system_arrives_with_its_factorization(monkeypatch):
+def test_generated_system_arrives_with_its_factorization(linalg_calls):
     # the generator's range check factors S; with S of full rank it needs no K
     ksys = random_kg_system(12, [3] * 5, 4, seed=9)
-    counts = _count_decompositions(monkeypatch)
+    linalg_calls.clear()
     evals, evecs = ksys.s_evals, ksys.s_evecs
-    assert counts["eigh"] == counts["svd"] == 0
+    assert _tally(linalg_calls)["eigh"] == _tally(linalg_calls)["svd"] == 0
     svals, basis = ksys.k_svals, ksys.k_range_basis
-    assert counts["svd"] == 1
+    assert _tally(linalg_calls)["svd"] == 1
     assert classify(ksys).label is Classification.G_FRAME
     assert ksys.s_evals is evals and ksys.s_evecs is evecs
     assert ksys.k_svals is svals and ksys.k_range_basis is basis
-    assert counts["eigh"] == 0 and counts["svd"] == 1
-
-
-def _record_svds(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
-    """The input shape and ``compute_uv`` of every ``np.linalg.svd`` call."""
-    calls = []
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return calls
+    assert _tally(linalg_calls)["eigh"] == 0 and _tally(linalg_calls)["svd"] == 1
 
 
 def _dual_inputs(seed: int = 3):
@@ -338,20 +309,19 @@ def _dual_inputs(seed: int = 3):
     return ksys, candidate, target
 
 
-def test_duals_on_a_factored_system_take_no_svd_of_k(monkeypatch):
+def test_duals_on_a_factored_system_take_no_svd_of_k(linalg_calls):
     ksys, candidate, target = _dual_inputs()
     fams = random_frame_family(ksys.system.block_dims, seed=1)
-    counts = _count_decompositions(monkeypatch)
-    svds = _record_svds(monkeypatch)
+    linalg_calls.clear()
     approx_defect(ksys.system, candidate, ksys.k)
     truncated_neumann_dual(ksys.system, candidate, ksys.k, 4)
     neumann_reconstruct(ksys.system, candidate, ksys.k, target, num_steps=10)
     lift_to_vector_frames(ksys.system, candidate, fams, k=ksys.k)
-    assert svds == []
+    assert _tally(linalg_calls)["svd"] == 0
     exactify_dual(ksys.system, candidate, ksys.k)
     # the r x r C = B^* M B is inverted by an LU solve, not by the SVD of pinv
-    assert svds == []
-    assert counts["eigh"] == 0
+    assert _tally(linalg_calls)["svd"] == 0
+    assert _tally(linalg_calls)["eigh"] == 0
 
 
 @pytest.mark.parametrize("construction, norms, spanning_checks", [
@@ -361,37 +331,35 @@ def test_duals_on_a_factored_system_take_no_svd_of_k(monkeypatch):
     (lambda ksys, cand, f, fams: neumann_reconstruct(ksys.system, cand, ksys.k, f, num_steps=10),
      1, 0),
     (lambda ksys, cand, f, fams: lift_to_vector_frames(ksys.system, cand, fams, k=ksys.k), 4, 6),
-    (lambda ksys, cand, f, fams: lift_to_vector_frames(ksys.system, cand, fams), 3, 6),
-], ids=["approx_defect", "exactify_dual", "truncated_neumann_dual", "neumann_reconstruct",
-        "lift_with_k", "lift_without_k"])
+], ids=["approx_defect", "exactify_dual", "truncated_neumann_dual", "neumann_reconstruct", "lift_with_k"])
 def test_each_dual_construction_takes_only_the_norms_its_result_reports(
-        construction, norms, spanning_checks, monkeypatch):
+        construction, norms, spanning_checks, linalg_calls):
     # approx_defect reports the defect and ||I_r - C||; exactify_dual and the
     # Neumann constructions use the defect only; the lift reports its
-    # residual, its two full-space defects and, with K, ||I_r - C|| but not
-    # the defect. No construction takes an SVD with vectors; the lift checks
-    # that each of the six frame families spans its space (one eigvalsh each).
+    # residual, its two full-space defects and ||I_r - C|| but not the
+    # defect. No construction takes an SVD; the lift checks that each of the
+    # six frame families spans its space (one eigvalsh each).
     ksys, candidate, target = _dual_inputs()
     fams = random_frame_family(ksys.system.block_dims, seed=1)
-    counts = _count_decompositions(monkeypatch)
+    linalg_calls.clear()
     construction(ksys, candidate, target, fams)
-    assert counts == {"eigh": 0, "eigvalsh": spanning_checks, "svd": 0, "norm2": norms}
+    assert _tally(linalg_calls) == {"eigh": 0, "eigvalsh": spanning_checks, "svd": 0, "norm": norms}
 
 
-def test_defect_on_a_fresh_system_factors_only_k(monkeypatch):
+def test_defect_on_a_fresh_system_factors_only_k(linalg_calls):
     ksys, candidate, _ = _dual_inputs()
     fresh = KGSystem(ksys.system, ksys.k)  # owns a new K, nothing cached yet
-    counts = _count_decompositions(monkeypatch)
-    svds = _record_svds(monkeypatch)
+    linalg_calls.clear()
     cert = approx_defect(fresh.system, candidate, fresh.k)
-    assert svds == [((16, 16), True)]  # K, factored into the owner's cache
+    k_svd = [("svd", (16, 16), True)]  # K, factored into the owner's cache
+    assert [call for call in linalg_calls if call[0] == "svd"] == k_svd
     assert approx_defect(fresh.system, candidate, fresh.k) == cert
-    assert svds == [((16, 16), True)]  # and not again
-    assert counts["eigh"] == counts["eigvalsh"] == 0  # S is not factored
+    assert [call for call in linalg_calls if call[0] == "svd"] == k_svd  # and not again
+    assert _tally(linalg_calls)["eigh"] == _tally(linalg_calls)["eigvalsh"] == 0  # S is not factored
     assert cert == approx_defect(ksys.system, candidate, ksys.k)
 
 
-def test_an_owned_k_is_factored_once_whatever_the_call_order(monkeypatch):
+def test_an_owned_k_is_factored_once_whatever_the_call_order(linalg_calls):
     ksys, candidate, target = _dual_inputs()
     duals = {
         "approx_defect": lambda s: approx_defect(s.system, candidate, s.k),
@@ -399,18 +367,16 @@ def test_an_owned_k_is_factored_once_whatever_the_call_order(monkeypatch):
         "neumann_reconstruct": lambda s: neumann_reconstruct(s.system, candidate, s.k, target),
     }
     calls = {**duals, "optimal_bounds": optimal_bounds, "canonical_kg_dual": canonical_kg_dual}
-    counts = _count_decompositions(monkeypatch)
-    svds = _record_svds(monkeypatch)
     for order in itertools.permutations(calls):
         fresh = KGSystem(ksys.system, ksys.k)  # owns a new K, nothing cached yet
-        before, eighs = len(svds), counts["eigh"]
+        linalg_calls.clear()
         for name in order:
-            seen = counts["eigh"]
+            seen = len(linalg_calls)
             calls[name](fresh)
-            if name in duals:
-                assert counts["eigh"] == seen, order  # a dual call never factors S
-        assert svds[before:] == [((16, 16), True)], order
-        assert counts["eigh"] - eighs == 1, order
+            if name in duals:  # a dual call never factors S
+                assert _tally(linalg_calls[seen:])["eigh"] == 0, order
+        assert [call for call in linalg_calls if call[0] == "svd"] == [("svd", (16, 16), True)], order
+        assert _tally(linalg_calls)["eigh"] == 1, order
 
 
 def test_a_copy_of_k_gives_the_same_results_to_the_bit():
@@ -438,28 +404,26 @@ def test_a_copy_of_k_gives_the_same_results_to_the_bit():
         assert all(np.array_equal(x, y) for x, y in zip(trace.iterates, first.iterates))
 
 
-def test_k_of_a_collected_system_is_factored_per_call(monkeypatch):
+def test_k_of_a_collected_system_is_factored_per_call(linalg_calls):
     ksys, candidate, _ = _dual_inputs()
     system, k = ksys.system, ksys.k
     before = approx_defect(system, candidate, k)
     del ksys
     gc.collect()
-    svds = _record_svds(monkeypatch)
+    linalg_calls.clear()
     assert approx_defect(system, candidate, k) == before
-    assert svds == [((16, 16), True)]
+    assert [call for call in linalg_calls if call[0] == "svd"] == [("svd", (16, 16), True)]
 
 
-def test_reconstruction_steps_take_no_decomposition(monkeypatch):
+def test_reconstruction_steps_take_no_decomposition(linalg_calls):
     ksys, _, target = _dual_inputs()
     dual = canonical_kg_dual(ksys)
     candidate = dual.with_matrix(0.05 * dual.matrix)  # defect 0.95: all 200 steps run
-    counts = _count_decompositions(monkeypatch)
-    svds = _record_svds(monkeypatch)
 
     def decompositions(num_steps: int):
-        before, svds_before = dict(counts), len(svds)
+        linalg_calls.clear()
         trace = neumann_reconstruct(ksys.system, candidate, ksys.k, target, num_steps=num_steps)
         assert len(trace.errors) == num_steps + 1
-        return {key: counts[key] - before[key] for key in counts}, len(svds) - svds_before
+        return list(linalg_calls)
 
     assert decompositions(0) == decompositions(200)
