@@ -12,8 +12,9 @@ coordinates in B through the r x r compression C = B^* M B, and form no
 inverse.
 
 Each construction takes only the decompositions its result uses, besides
-the factorization of K that yields B: ``approx_defect`` takes two SVD norms
-(the defect and ||I_r - C||); ``exactify_dual``, ``truncated_neumann_dual``
+the factorization of K that yields B: ``approx_defect`` takes two norms
+(the defect and ||I_r - C||), each one ``eigvalsh`` of a Gram
+(:func:`linops.op_norm`); ``exactify_dual``, ``truncated_neumann_dual``
 and ``neumann_reconstruct`` one (the defect); ``perturbed_dual`` one
 (||P G P||). Exactification inverts C by one LU solve unless 1 - defect is
 within the rank cutoff, and the canonical and perturbed duals form no n x n

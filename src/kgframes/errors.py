@@ -2,15 +2,17 @@
 
 Two branches matter for callers: :class:`InputError` marks malformed or
 inconsistent input data, :class:`ComputationError` marks a mathematical
-precondition that failed, so the requested quantity does not exist. The
-command-line driver maps them to distinct exit codes.
+precondition that failed, so the requested quantity does not exist, or a
+quantity outside the floating-point range. The command-line driver maps
+them to distinct exit codes.
 """
 
 __all__ = ["BadDimError", "BadIndexError", "ComputationError", "DimMismatchError",
-           "FrameOperatorSingularError", "GenerationFailedError", "InputError", "KGFrameError",
-           "KStarNotBoundedBelowError", "NotAFrameError", "NotApproxDualError", "NotInRangeError",
-           "NotKGFrameError", "NotPSDError", "NotTightError", "NotUnitNormError", "ParseError",
-           "RangeConditionError", "TooManySubsetsError", "TrivialRangeError", "ZeroWeightError"]
+           "FloatRangeError", "FrameOperatorSingularError", "GenerationFailedError", "InputError",
+           "KGFrameError", "KStarNotBoundedBelowError", "NotAFrameError", "NotApproxDualError",
+           "NotInRangeError", "NotKGFrameError", "NotPSDError", "NotTightError", "NotUnitNormError",
+           "ParseError", "RangeConditionError", "TooManySubsetsError", "TrivialRangeError",
+           "ZeroWeightError"]
 
 
 class KGFrameError(Exception):
@@ -75,6 +77,10 @@ class NotUnitNormError(ComputationError):
 
 class KStarNotBoundedBelowError(ComputationError):
     """The adjoint of K has no positive lower bound (K is singular)."""
+
+
+class FloatRangeError(ComputationError):
+    """A result exists but lies outside the floating-point range."""
 
 
 class FrameOperatorSingularError(ComputationError):

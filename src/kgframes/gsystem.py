@@ -390,9 +390,15 @@ def optimal_bounds(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) ->
         relative to K is ``1 / ||S^{+/2} K||^2``, valid exactly when
         range(K) lies inside range(S); otherwise the field is None.
         Everything comes from the system's cached factorizations of K and
-        S; the one dense computation per call is the norm of S^{+/2} K,
-        and a second, of S - A K K^*, is taken only when its Frobenius norm
-        does not decide tightness.
+        S; the one dense computation per call is the top eigenvalue
+        (``eigvalsh``) of the Gram of S^{+/2} K, and a second, for the norm
+        of S - A K K^*, is taken only when its Frobenius norm does not
+        decide tightness.
+
+    Raises
+    ------
+    FloatRangeError
+        If the bound relative to K lies outside the floating-point range.
     """
     w = ksys.s_evals
     bessel = max(float(w[-1]), 0.0)
@@ -419,8 +425,10 @@ def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> l
     ``y[i]`` is K in its eigenbasis (:meth:`KGSystem.k_in`), so S^{+/2} K
     is the support rows of ``y[i]`` over sqrt(w). The support, the eigenvalues
     above the rank cutoff, is a suffix of each row; the systems of one support
-    size share one stacked SVD, taken by ``np.linalg.norm``, for the norm of
-    S^{+/2} K.
+    size share one stacked :func:`linops.gram_top`, which gives
+    ||S^{+/2} K||^2 = lam * 4**e, and the bound is 1/lam * 2**(-2e) with no
+    square root and no square of a norm. Raises ``FloatRangeError`` when a
+    bound lies outside the floating-point range.
     """
     n = w.shape[1]
     support = _support(w, rank_tol)
@@ -432,9 +440,10 @@ def _kg_lower(w: np.ndarray, y: np.ndarray, k_norm: float, rank_tol: float) -> l
         a = y[members, n - size:] / np.sqrt(w[members, n - size:])[..., np.newaxis]
         if a.size == 0:  # K = 0 or S = 0: no norm to take, and no bound
             continue
-        for i, denom in zip(members, np.linalg.norm(a, 2, axis=(-2, -1)).tolist()):
-            if denom > 0.0:
-                lowers[i] = 1.0 / (denom * denom)
+        lam, e = linops.gram_top(a)
+        for i, top, exp in zip(members, lam.tolist(), e.tolist()):
+            if top > 0.0:
+                lowers[i] = linops.pow2_scale(1.0 / top, -2 * exp, "the lower bound relative to K")
     return lowers
 
 

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import NotPSDError
+from .errors import FloatRangeError, NotPSDError
 
 __all__ = ["DEFAULT_RANK_TOL", "adjoint", "hermitian_eigvals", "inner", "numerical_rank", "op_norm",
            "pinv", "psd_sqrt_pinv", "range_projector", "svd_values"]
@@ -70,11 +70,50 @@ def inner(f, g) -> complex:
 
 
 def op_norm(m) -> float:
-    """Operator (spectral) norm, the largest singular value."""
+    """Operator (spectral) norm, the largest singular value.
+
+    Taken from :func:`gram_top`, with no SVD. Raises ``FloatRangeError``
+    when it exceeds the floating-point range.
+    """
     a = as_operator(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    lam, e = gram_top(a)
+    return pow2_scale(math.sqrt(float(lam)), int(e), "the operator norm")
+
+
+def gram_top(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_max^2 of a non-empty complex matrix, or of each matrix of a stack, as ``(lam, e)``.
+
+    sigma_max^2 = lam * 4**e. Each matrix is scaled by the power of two
+    2**-e that brings its largest real or imaginary part into [1/2, 1)
+    (e = 0 for a zero matrix). That is exact, so the Gram on its smaller
+    side cannot overflow nor its largest entries underflow, and where the
+    unscaled Gram would do neither, lam * 4**e has its bits. ``lam`` is that Gram's top
+    eigenvalue, from one ``eigvalsh`` for the whole stack; by Weyl's
+    inequality it is within O(eps) of sigma_max^2 relative.
+    """
+    parts = np.ascontiguousarray(a).view(np.float64)  # each entry's real and imaginary part
+    e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(parts, -e[..., np.newaxis, np.newaxis]).view(np.complex128)
+    adj = np.swapaxes(scaled.conj(), -1, -2)
+    gram = adj @ scaled if a.shape[-2] >= a.shape[-1] else scaled @ adj
+    return np.linalg.eigvalsh(gram)[..., -1], e
+
+
+def pow2_scale(x: float, e: int, what: str) -> float:
+    """``x * 2**e``, exactly where the result is normal.
+
+    Raises ``FloatRangeError`` naming ``what`` when it leaves the
+    floating-point range: it overflows, or a nonzero ``x`` underflows to 0.
+    """
+    try:
+        out = math.ldexp(x, e)
+        if out != 0.0 or x == 0.0:
+            return out
+    except OverflowError:
+        pass
+    raise FloatRangeError(f"{what}, {x!r} * 2**{e}, lies outside the floating-point range")
 
 
 def svd_values(m) -> np.ndarray:

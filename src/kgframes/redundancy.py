@@ -26,6 +26,7 @@ import numpy as np
 from . import linops
 from .errors import (
     BadIndexError,
+    FloatRangeError,
     FrameOperatorSingularError,
     KStarNotBoundedBelowError,
     NotKGFrameError,
@@ -277,7 +278,8 @@ def erasure_invertibility(
     bound, the guaranteed value is None (K^* T^{-1} = 0) and only the
     companion is reported. Brute force's rule A * ||K||^2 > SURVIVAL_TOL * B
     never holds for K = 0, so there this criterion can report a survivor
-    where brute force reports none.
+    where brute force reports none. Raises ``FloatRangeError`` when T leaves
+    the floating-point range.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
     if not ksys.s_support(rank_tol).all():
@@ -290,7 +292,10 @@ def erasure_invertibility(
     s_removed = partial_frame_operator(ksys.system, idx)
     # S^{-1} S_I through the eigenpairs S = V diag(w) V^*
     v = ksys.s_evecs
-    t = np.eye(n, dtype=np.complex128) - (v / ksys.s_evals) @ (v.conj().T @ s_removed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.eye(n, dtype=np.complex128) - (v / ksys.s_evals) @ (v.conj().T @ s_removed)
+    if not np.isfinite(t).all():  # V/w overflows for eigenvalues of S below about 1e-308
+        raise FloatRangeError("S^{-1} S_I lies outside the floating-point range")
     # T's eigenvalues lie in [0, 1] (0 <= S_I <= S): cut on the scale of I, not of rounding noise
     sv = linops.svd_values(t)
     survives = bool(sv[-1] > linops.rank_cutoff(max(float(sv[0]), 1.0), n, rank_tol))

@@ -23,7 +23,8 @@ def test_the_package_exports_exactly_its_public_attributes():
     exec("from kgframes import *", star)
     assert sorted(set(star) - {"__builtins__"}) == public
     # a name added or removed is a public API change
-    assert len(public) == 78 and "svd_values" in public and "range_basis" not in public
+    assert len(public) == 79 and "svd_values" in public and "range_basis" not in public
+    assert "FloatRangeError" in public
     # every module's list, repeats kept, equals the surface: no name has two owners
     assert kgframes.__all__ == sorted(name for module in MODULES for name in module.__all__)
 

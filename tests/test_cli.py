@@ -887,6 +887,28 @@ def test_an_input_that_is_not_a_regular_file_is_rejected(tmp_path):
     assert digest == hashlib.sha256(data).hexdigest()
 
 
+def test_blocks_near_1e_minus_156_have_a_bound_and_an_invert_error(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    save_system(KGSystem(GSystem(2, (1e-156 * np.eye(2), 1e-156 * np.eye(2))), np.eye(2)), path)
+    code, out, err = run_cli(capsys, "bounds", str(path))
+    assert code == 0, err
+    payload = read_report(out)["payload"]
+    assert payload["kg_lower_opt"] == payload["g_lower_opt"] > 0.0
+    code, out, err = run_cli(capsys, "erase", str(path), "--indices", "1", "--criterion", "invert")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "FloatRangeError"
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200])
+def test_a_bound_past_the_float_range_exits_one(tmp_path, capsys, scale):
+    ksys = random_kg_system(4, [2, 1, 2], 2, 3)
+    path = tmp_path / "smallk.json"
+    save_system(KGSystem(ksys.system, scale * ksys.k), path)
+    code, out, err = run_cli(capsys, "bounds", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "FloatRangeError"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # printed, as a user of the CLI sees them
 @pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
                    reason="S of blocks near 1e160 overflows and eigh does not converge: an untyped error")

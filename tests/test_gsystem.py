@@ -7,6 +7,7 @@ from kgframes import (
     BlockSequence,
     Classification,
     DimMismatchError,
+    FloatRangeError,
     GSystem,
     KGSystem,
     RangeConditionError,
@@ -120,14 +121,46 @@ def test_range_condition_trivial_cases():
     assert not range_condition_holds(bad)
 
 
+def test_bounds_of_blocks_near_1e_minus_156_need_no_square_of_a_norm():
+    # S = 2e-312 I is subnormal and ||S^{+/2} K|| near 7e155: its square overflows, its Gram scaled does not
+    ksys = KGSystem(GSystem(2, (1e-156 * np.eye(2), 1e-156 * np.eye(2))), np.eye(2))
+    rep = optimal_bounds(ksys)
+    assert rep.kg_lower_opt == rep.g_lower_opt == rep.bessel_upper_opt  # K = I and S scalar
+    assert 1e-312 < rep.kg_lower_opt < 3e-312
+    assert rep.tight_kg and rep.tightness_constant == rep.kg_lower_opt
+    assert classify(ksys).label is Classification.TIGHT_G_FRAME
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200])
+def test_a_bound_relative_to_k_past_the_float_range_is_a_typed_error(scale):
+    ksys = random_kg_system(4, [2, 1, 2], 2, 3)
+    with pytest.raises(FloatRangeError, match="the lower bound relative to K"):
+        optimal_bounds(KGSystem(ksys.system, scale * ksys.k))
+
+
+def test_bounds_scale_exactly_by_powers_of_two():
+    ksys = random_kg_system(4, [2, 1, 2], 2, 3)
+    base = optimal_bounds(ksys)
+    brute = [r.actual_lower_bound for r in brute_force_erasure_search(ksys, 1)]
+    for a in (-30, -1, 0, 20):
+        for b in (-7, 0, 3, 11):
+            scaled = KGSystem(GSystem(4, tuple(np.ldexp(1.0, a) * blk for blk in ksys.system.blocks)),
+                              np.ldexp(1.0, b) * ksys.k)
+            rep = optimal_bounds(scaled)
+            assert rep.bessel_upper_opt == np.ldexp(base.bessel_upper_opt, 2 * a)
+            assert rep.kg_lower_opt == np.ldexp(base.kg_lower_opt, 2 * a - 2 * b)
+            got = [r.actual_lower_bound for r in brute_force_erasure_search(scaled, 1)]
+            assert got == [None if x is None else np.ldexp(x, 2 * a - 2 * b) for x in brute], (a, b)
+
+
 def test_a_zero_k_or_zero_s_has_no_bound_and_takes_no_norm_of_an_empty_matrix(linalg_calls):
     blocks = (complex_gaussian(np.random.default_rng(5), (3, 3)), np.zeros((2, 3)))
     for ksys in (KGSystem(GSystem(3, blocks), np.zeros((3, 3))),
                  KGSystem(GSystem(3, (blocks[1], np.zeros((1, 3)))), np.eye(3))):
         assert optimal_bounds(ksys).kg_lower_opt is None
         assert all(r.actual_lower_bound is None for r in brute_force_erasure_search(ksys, 2))
-    # numpy releases before 2 raise on the spectral norm of an empty matrix
-    assert all(0 not in shape for name, shape, _ in linalg_calls if name == "norm")
+    # numpy releases before 2 raise on the eigenvalues or spectral norm of an empty matrix
+    assert all(0 not in shape for name, shape, _ in linalg_calls if name in ("eigvalsh", "norm"))
 
 
 def test_identity_system_bounds_are_tight():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kgframes import (
+    FloatRangeError,
     NotPSDError,
     adjoint,
     hermitian_eigvals,
@@ -53,7 +54,7 @@ def test_the_decomposition_recorder_sees_each_factorization_and_no_plain_norm(li
     np.linalg.norm(m[:, 0])  # a vector
     np.linalg.norm(np.stack([m, m]), 2, axis=(-2, -1))
     assert linalg_calls == [
-        ("norm", (4, 3), None), ("svd", (4, 3), False), ("svd", (4, 3), True),
+        ("eigvalsh", (3, 3), None), ("svd", (4, 3), False), ("svd", (4, 3), True),
         ("eigvalsh", (4, 4), None), ("eigh", (4, 4), None), ("solve", (4, 4), None),
         ("inv", (4, 4), None), ("norm", (2, 4, 3), None),
     ]
@@ -127,6 +128,63 @@ def test_op_norm_agrees_with_power_iteration():
     for trial in range(5):
         m = complex_gaussian(rng, (8, 5))
         assert abs(op_norm(m) - power_iteration_norm(m, seed=trial)) <= 1e-6
+
+
+def _with_singular_values(rng, shape, svals) -> np.ndarray:
+    """A complex matrix of ``shape`` with the singular values ``svals`` in random bases."""
+    u = np.linalg.qr(complex_gaussian(rng, (shape[0], len(svals))))[0]
+    v = np.linalg.qr(complex_gaussian(rng, (shape[1], len(svals))))[0]
+    return (u * svals) @ v.conj().T
+
+
+def _mp_sigma_max(a: np.ndarray) -> float:
+    """The largest singular value of ``a``'s float entries, by a 40-digit mpmath SVD."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        rows = [[mpmath.mpc(z.real, z.imag) for z in row] for row in a.tolist()]
+        return float(max(mpmath.svd_c(mpmath.matrix(rows), compute_uv=False)))
+
+
+@pytest.mark.parametrize("shape, sigma_max, cond", [
+    ((40, 12), 1.0, 10.0), ((12, 40), 1.0, 10.0), ((16, 16), 1.0, 10.0),
+    ((40, 12), 1.0, 1e12), ((12, 40), 3.0, 1e12), ((16, 16), 1.0, 1e12),
+    ((40, 12), 1e-15, 1e3), ((12, 40), 1e-300, 1e3), ((16, 16), 1e200, 1e3),
+], ids=["tall", "wide", "square", "ill_tall", "ill_wide", "ill_square",
+        "tiny_1e-15", "tiny_1e-300", "huge_1e200"])
+def test_op_norm_is_within_a_few_eps_of_an_extended_precision_svd(shape, sigma_max, cond):
+    rng = np.random.default_rng(int(np.log10(cond)) + 7 * shape[0])
+    r = min(shape)
+    m = _with_singular_values(rng, shape, sigma_max * np.geomspace(1.0, 1.0 / cond, r))
+    want = _mp_sigma_max(m)
+    assert abs(op_norm(m) - want) <= 4 * np.finfo(float).eps * np.sqrt(r) * want
+
+
+def test_stacked_and_single_gram_tops_are_the_same_bits():
+    rng = np.random.default_rng(18)
+    for shape in [(6, 24, 8), (5, 8, 24), (4, 7, 7), (3, 1, 5)]:
+        # a different scale per matrix: each gets its own power of two
+        stack = complex_gaussian(rng, shape) * 10.0 ** rng.integers(-200, 200, shape[0])[:, None, None]
+        lam, e = linops.gram_top(stack)
+        for i, m in enumerate(stack):
+            assert linops.gram_top(m) == (lam[i], e[i])
+            assert op_norm(m) == np.ldexp(np.sqrt(lam[i]), e[i])
+
+
+def test_op_norm_scales_exactly_by_powers_of_two():
+    rng = np.random.default_rng(19)
+    for shape in [(6, 4), (4, 6), (5, 5)]:
+        m = complex_gaussian(rng, shape)  # entries near 1: every scaled copy stays normal
+        base = op_norm(m)
+        for k in range(-500, 501):
+            assert op_norm(np.ldexp(1.0, k) * m) == np.ldexp(base, k), (shape, k)
+
+
+def test_op_norm_takes_no_svd_and_overflows_to_a_typed_error(linalg_calls):
+    # sqrt(6) 1e300, though the unscaled Gram's entries would overflow
+    assert abs(op_norm(np.full((2, 3), 1e300)) / 1e300 - np.sqrt(6.0)) <= 1e-15
+    assert [name for name, _, _ in linalg_calls] == ["eigvalsh"]
+    with pytest.raises(FloatRangeError, match="the operator norm"):
+        op_norm(np.full((2, 2), 1e308))
 
 
 def test_svd_values_descending_and_eigvals_ascending():

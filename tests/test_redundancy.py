@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kgframes import (
     BadIndexError,
+    FloatRangeError,
     FrameOperatorSingularError,
     GSystem,
     KGSystem,
@@ -94,6 +95,21 @@ def test_norm_count_requires_k_star_bounded_below():
     ksys = corner_projection_system(6)
     with pytest.raises(KStarNotBoundedBelowError):
         erasure_norm_count(ksys, [1])
+
+
+def test_norm_count_requires_a_kg_frame():
+    # K = I is invertible with norm 1 and the removed block has norm 1, but S = diag(1, 0) is singular
+    ksys = KGSystem(GSystem(2, (np.array([[1.0, 0.0]]),)), np.eye(2))
+    with pytest.raises(NotKGFrameError, match="no positive lower bound relative to K"):
+        erasure_norm_count(ksys, [0])
+
+
+@pytest.mark.parametrize("k", [np.eye(2), 1e-10 * np.eye(2), np.zeros((2, 2))], ids=["I", "1e-10 I", "0"])
+def test_invertibility_with_s_below_the_float_range_is_a_typed_error(k):
+    # S = 2e-312 I: S^{-1} overflows
+    ksys = KGSystem(GSystem(2, (1e-156 * np.eye(2), 1e-156 * np.eye(2))), k)
+    with pytest.raises(FloatRangeError):
+        erasure_invertibility(ksys, [1])
 
 
 def test_norm_count_requires_unit_norm_removed_blocks():
@@ -420,7 +436,9 @@ def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(li
     assert counts["eigh_nxn"] == 13
     # one batched q x q eigh for the one (size, q) group tried: the pairs, q = 4
     assert counts["eigh_batched"] == 1
-    assert counts["eigvalsh"] == counts["svd_with_vectors"] == 0
+    # one stacked Gram eigvalsh for S^{+/2} K per pass: the empty removal's and the singles'
+    assert counts["eigvalsh"] == 2
+    assert counts["svd_with_vectors"] == 0
     assert all(r.actual_lower_bound is None for r in reports if len(r.removed) == 2)
 
 
@@ -431,9 +449,10 @@ def test_search_with_a_singular_frame_operator_factors_s_once_and_each_nonempty_
     assert chain.k_svals is not None  # K is factored; S is factored on first use
     linalg_calls.clear()
     reports = brute_force_erasure_search(chain, 3)
-    # S itself, on first use, which the empty removal shares, then one per other subset
+    # S itself, on first use, which the empty removal shares, then one per other subset;
+    # the one support size that keeps range(K) takes one stacked Gram eigvalsh
     assert _tally(linalg_calls) == {"eigh_nxn": len(reports), "eigh_batched": 0,
-                                    "eigvalsh": 0, "svd_with_vectors": 0}
+                                    "eigvalsh": 1, "svd_with_vectors": 0}
 
 
 def _assert_equals_reference(ksys, reports, rank_tol):

@@ -283,8 +283,9 @@ def test_one_factorization_serves_bounds_classification_and_dual(linalg_calls):
     classify(ksys)
     canonical_kg_dual(ksys)
     optimal_bounds(ksys)
-    # one eigh of S and one SVD of K in all; one S^{+/2} K norm per bounds call
-    assert _tally(linalg_calls) == {"eigh": 1, "eigvalsh": 0, "svd": 1, "norm": 2}
+    # one eigh of S and one SVD of K in all; one S^{+/2} K norm per bounds call,
+    # each the eigvalsh of a Gram, and no SVD norm
+    assert _tally(linalg_calls) == {"eigh": 1, "eigvalsh": 2, "svd": 1, "norm": 0}
 
 
 def test_generated_system_arrives_with_its_factorization(linalg_calls):
@@ -337,13 +338,14 @@ def test_each_dual_construction_takes_only_the_norms_its_result_reports(
     # approx_defect reports the defect and ||I_r - C||; exactify_dual and the
     # Neumann constructions use the defect only; the lift reports its
     # residual, its two full-space defects and ||I_r - C|| but not the
-    # defect. No construction takes an SVD; the lift checks that each of the
-    # six frame families spans its space (one eigvalsh each).
+    # defect. Each norm is the eigvalsh of a Gram. No construction takes an
+    # SVD; the lift checks that each of the six frame families spans its
+    # space (one eigvalsh each).
     ksys, candidate, target = _dual_inputs()
     fams = random_frame_family(ksys.system.block_dims, seed=1)
     linalg_calls.clear()
     construction(ksys, candidate, target, fams)
-    assert _tally(linalg_calls) == {"eigh": 0, "eigvalsh": spanning_checks, "svd": 0, "norm": norms}
+    assert _tally(linalg_calls) == {"eigh": 0, "eigvalsh": spanning_checks + norms, "svd": 0, "norm": 0}
 
 
 def test_defect_on_a_fresh_system_factors_only_k(linalg_calls):
@@ -355,7 +357,9 @@ def test_defect_on_a_fresh_system_factors_only_k(linalg_calls):
     assert [call for call in linalg_calls if call[0] == "svd"] == k_svd
     assert approx_defect(fresh.system, candidate, fresh.k) == cert
     assert [call for call in linalg_calls if call[0] == "svd"] == k_svd  # and not again
-    assert _tally(linalg_calls)["eigh"] == _tally(linalg_calls)["eigvalsh"] == 0  # S is not factored
+    # S is not factored: the only eigvalsh calls are the two r x r norm Grams per call
+    assert _tally(linalg_calls)["eigh"] == 0
+    assert [call for call in linalg_calls if call[0] == "eigvalsh"] == [("eigvalsh", (7, 7), None)] * 4
     assert cert == approx_defect(ksys.system, candidate, ksys.k)
 
 
