@@ -18,9 +18,10 @@ the factorization of K that yields B: ``approx_defect`` takes two norms
 and ``neumann_reconstruct`` one (the defect); ``perturbed_dual`` one
 (||P G P||). Exactification inverts C by one LU solve unless 1 - defect is
 within the rank cutoff, and the canonical and perturbed duals form no n x n
-operator. ``lift_to_vector_frames`` flattens both sides of a pair with the
-rows that ``compose`` builds and takes three norms, and with K a fourth,
-||I_r - C||, not the defect. Each function that takes a raw K checks its shape.
+operator: they apply pinv(S) to B alone (:meth:`KGSystem.s_pinv`).
+``lift_to_vector_frames`` flattens both sides of a pair with the rows that
+``compose`` builds and takes three norms, and with K a fourth, ||I_r - C||,
+not the defect. Each function that takes a raw K checks its shape.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def canonical_kg_dual(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL)
     RangeConditionError
         If range(K) is not contained in range(S) at the working tolerance,
         in which case no dual relative to K exists.
+    FloatRangeError
+        If pinv(S) B (:meth:`KGSystem.s_pinv`) is past the floating-point range.
     """
     lsb, b = _canonical_factors(ksys, rank_tol)
     return ksys.system.with_matrix(lsb @ b.conj().T)
@@ -136,12 +139,8 @@ def _canonical_factors(ksys: KGSystem, rank_tol: float) -> tuple[np.ndarray, np.
     """L pinv(S) B and the range basis B of K; the canonical dual is (L pinv(S) B) B^*."""
     if not range_condition_holds(ksys, rank_tol):
         raise RangeConditionError("range(K) is not contained in range(S)")
-    support = ksys.s_support(rank_tol)
-    v = ksys.s_evecs[:, support]
     b = ksys.k_range(rank_tol)
-    # pinv(S) B = V diag(1/w) V^* B over the support of S
-    left = (v / ksys.s_evals[support]) @ (v.conj().T @ b)
-    return ksys.system.matrix @ left, b
+    return ksys.system.matrix @ ksys.s_pinv(b, rank_tol), b
 
 
 def _compress(system: GSystem, candidate: GSystem, k, rank_tol: float):

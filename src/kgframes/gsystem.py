@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
-from .errors import DimMismatchError
+from .errors import DimMismatchError, FloatRangeError
 
 __all__ = ["BlockSequence", "BoundReport", "Classification", "ClassificationReport", "GSystem",
            "KGSystem", "analysis", "classify", "frame_operator", "optimal_bounds",
@@ -141,6 +141,19 @@ class KGSystem:
     def s_support(self, rank_tol: float) -> np.ndarray:
         """Mask of the eigenvalues of S above the rank cutoff at ``rank_tol``: range(S)."""
         return _support(self.s_evals, rank_tol)
+
+    def s_pinv(self, x: np.ndarray, rank_tol: float) -> np.ndarray:
+        """S^+ x as V diag(1/w) V^* x over S's eigenpairs above the rank cutoff: the one S^+.
+
+        Raises ``FloatRangeError`` when it is not finite (a kept w below about 1e-308).
+        """
+        support = self.s_support(rank_tol)
+        v = self.s_evecs[:, support]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (v / self.s_evals[support]) @ (v.conj().T @ x)
+        if not np.isfinite(out).all():
+            raise FloatRangeError("S^+ applied to an operand lies outside the floating-point range")
+        return out
 
     @property
     def k_norm(self) -> float:
@@ -467,8 +480,9 @@ def classify(ksys: KGSystem, rank_tol: float = linops.DEFAULT_RANK_TOL) -> Class
     c = ksys.k_lower(rank_tol)
 
     is_g = ksys.s_support(rank_tol).all()
-    # K = 0 has no finite bound, yet every A > 0 serves: the inclusion decides
-    is_kg = report.kg_lower_opt is not None or range_condition_holds(ksys, rank_tol)
+    # For K != 0 a bound exists exactly when the inclusion holds (an empty S^{+/2} K
+    # or support would force K = 0); K = 0 has no finite bound, yet every A > 0 serves
+    is_kg = report.kg_lower_opt is not None or ksys.k_norm == 0.0
     tight_g = is_g and _is_scalar(report.bessel_upper_opt, report.g_lower_opt)
 
     if is_g and tight_g:

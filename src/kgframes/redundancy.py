@@ -12,7 +12,7 @@ comes from one eigendecomposition of the kept rows' frame operator, paired
 with the full system's cached factorization of K, which every subset shares;
 a removal of no rows reads S's own eigendecomposition from that cache. The
 search takes the index sets in stacked passes, one per kept-row count,
-each cut into runs whose working arrays fit in STACK_BYTES.
+each cut into runs whose working arrays fit in STACK_BYTES, one ``eigh`` per run.
 """
 
 from __future__ import annotations
@@ -91,15 +91,10 @@ def _removed_rows(sys: GSystem, subsets) -> np.ndarray:
     return np.repeat(hit, sys.block_dims, axis=1)
 
 
-def _block_rows(sys: GSystem, idx: tuple[int, ...]) -> np.ndarray:
-    """Mask of the stacked rows that belong to the blocks in ``idx``."""
-    return _removed_rows(sys, [idx])[0]
-
-
 def partial_frame_operator(sys: GSystem, indices) -> np.ndarray:
     """Frame operator restricted to a subset of blocks: sum_{j in I} L_j^* L_j."""
     idx = _validate_indices(sys.num_blocks, indices)
-    return _gram(sys.matrix[_block_rows(sys, idx)])
+    return _gram(sys.matrix[_removed_rows(sys, [idx])[0]])
 
 
 def reduced_system(ksys: KGSystem, indices) -> KGSystem:
@@ -123,8 +118,8 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
     fatal is None, and a removal of no rows takes S's own eigendecomposition
     from the system's cache. The others are taken in stacked passes per kept-row
     count, each within STACK_BYTES: one product forms their frame operators
-    and each takes one ``eigh``. K's factorization is the full system's
-    cached SVD, which every subset shares.
+    and one stacked ``eigh`` factors them. K's factorization is the full
+    system's cached SVD, which every subset shares.
     """
     l = ksys.system.matrix
     num_rows, n = l.shape
@@ -142,10 +137,7 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
         # the kept rows and their adjoint, and about four n x n arrays, per removal
         for members in _chunks(np.flatnonzero(live & (kept == count)), 16 * n * (2 * count + 4 * n)):
             rows = np.nonzero(~removed[members])[1].reshape(len(members), count)
-            w = np.empty((len(members), n))
-            v = np.empty((len(members), n, n), dtype=l.dtype)
-            for j, g in enumerate(_gram(l[rows])):
-                w[j], v[j] = np.linalg.eigh(g)
+            w, v = np.linalg.eigh(_gram(l[rows]))
             for i, lower in zip(members, _kg_lower(w, ksys.k_in(v), ksys.k_norm, rank_tol)):
                 lowers[i] = lower
     return lowers
@@ -179,8 +171,10 @@ def _fatal_removals(ksys: KGSystem, removed: np.ndarray, rank_tol: float) -> np.
     fatal = np.zeros(len(removed), dtype=bool)
     if not tried.any() or ksys.k_norm == 0.0 or not ksys.s_support(rank_tol).all():
         return fatal
-    v = ksys.s_evecs
-    fh = ((l @ v) / ksys.s_evals) @ v.conj().T  # F^* = L S^{-1}
+    try:
+        fh = ksys.s_pinv(l.conj().T, rank_tol).conj().T  # F^* = L S^{-1}
+    except FloatRangeError:  # S below about 1e-308: the eigh path decides every removal
+        return fatal
     g = fh @ l.conj().T
     row_sq = (l.real**2 + l.imag**2).sum(axis=1)
     k_norm = ksys.k_norm
@@ -278,8 +272,9 @@ def erasure_invertibility(
     bound, the guaranteed value is None (K^* T^{-1} = 0) and only the
     companion is reported. Brute force's rule A * ||K||^2 > SURVIVAL_TOL * B
     never holds for K = 0, so there this criterion can report a survivor
-    where brute force reports none. Raises ``FloatRangeError`` when T leaves
-    the floating-point range.
+    where brute force reports none. S^{-1} S_I is :meth:`KGSystem.s_pinv`'s
+    (``FloatRangeError`` past the float range). One SVD T = U diag(sv) V^*
+    gives the verdict, ||T^{-1}|| = 1/sv_min and ||K^* T^{-1}|| = ||K^* V diag(1/sv)||.
     """
     idx = _validate_indices(ksys.system.num_blocks, indices)
     if not ksys.s_support(rank_tol).all():
@@ -289,24 +284,17 @@ def erasure_invertibility(
     a = full.g_lower_opt if full.kg_lower_opt is None else min(full.g_lower_opt, full.kg_lower_opt)
 
     n = ksys.ambient_dim
-    s_removed = partial_frame_operator(ksys.system, idx)
-    # S^{-1} S_I through the eigenpairs S = V diag(w) V^*
-    v = ksys.s_evecs
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.eye(n, dtype=np.complex128) - (v / ksys.s_evals) @ (v.conj().T @ s_removed)
-    if not np.isfinite(t).all():  # V/w overflows for eigenvalues of S below about 1e-308
-        raise FloatRangeError("S^{-1} S_I lies outside the floating-point range")
+    t = np.eye(n, dtype=np.complex128) - ksys.s_pinv(partial_frame_operator(ksys.system, idx), rank_tol)
     # T's eigenvalues lie in [0, 1] (0 <= S_I <= S): cut on the scale of I, not of rounding noise
-    sv = linops.svd_values(t)
+    _, sv, vh = np.linalg.svd(t)
     survives = bool(sv[-1] > linops.rank_cutoff(max(float(sv[0]), 1.0), n, rank_tol))
 
     predicted = None
     stated = None
     inv_norm = None
     if survives:
-        t_inv = np.linalg.inv(t)
-        inv_norm = linops.op_norm(t_inv)
-        denom = linops.op_norm(ksys.k.conj().T @ t_inv)
+        inv_norm = 1.0 / float(sv[-1])
+        denom = linops.op_norm((ksys.k.conj().T @ vh.conj().T) / sv)
         if denom > 0.0:
             predicted = a / (denom * denom)
         stated = a / (inv_norm * inv_norm)

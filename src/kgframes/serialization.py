@@ -106,11 +106,6 @@ def _matrix_doc(m) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": a}
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    doc = _matrix_doc(m)
-    return {**doc, "entries": complex_pairs(doc["entries"])}
-
-
 def _is_number_type(t: type) -> bool:  # np.float64 is a float; bool is not a number
     return issubclass(t, (int, float)) and t is not bool
 

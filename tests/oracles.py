@@ -105,6 +105,14 @@ def frame_operator_of(sys: GSystem) -> np.ndarray:
     return out
 
 
+def invertibility_norms_of(ksys: KGSystem, removed) -> tuple[float, float]:
+    """||T^{-1}|| and ||K^* T^{-1}|| for T = I - S^{-1} S_I, by plain inverses and SVD norms."""
+    s = frame_operator_of(ksys.system)
+    s_removed = sum(ksys.system.blocks[j].conj().T @ ksys.system.blocks[j] for j in removed)
+    t_inv = np.linalg.inv(np.eye(ksys.ambient_dim) - np.linalg.inv(s) @ s_removed)
+    return float(np.linalg.norm(t_inv, 2)), float(np.linalg.norm(ksys.k.conj().T @ t_inv, 2))
+
+
 def mixed_operator_of(system: GSystem, candidate: GSystem) -> np.ndarray:
     """Plain-numpy sum_j L_j^* T_j, one block at a time."""
     n = system.ambient_dim

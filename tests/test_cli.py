@@ -909,6 +909,17 @@ def test_a_bound_past_the_float_range_exits_one(tmp_path, capsys, scale):
     assert json.loads(err)["error"]["type"] == "FloatRangeError"
 
 
+def test_a_canonical_dual_past_the_float_range_exits_one(tmp_path, capsys):
+    # blocks x 1e-160 leave S subnormal, and S^+ B overflows
+    ksys = random_kg_system(4, [2, 1, 2], 2, 3)
+    path = tmp_path / "tinyblocks.json"
+    save_system(KGSystem(ksys.system.with_matrix(1e-160 * ksys.system.matrix), ksys.k), path)
+    code, out, err = run_cli(capsys, "dual", str(path), "-o", str(tmp_path / "dual.json"))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "FloatRangeError"
+    assert not (tmp_path / "dual.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # printed, as a user of the CLI sees them
 @pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
                    reason="S of blocks near 1e160 overflows and eigh does not converge: an untyped error")

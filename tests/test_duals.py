@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kgframes import (
     DimMismatchError,
+    FloatRangeError,
     GSystem,
     KGSystem,
     NotAFrameError,
@@ -503,3 +504,14 @@ def test_reconstruction_of_zero_through_k_zero():
     assert trace.predicted_bound == (0.0,)
     assert len(trace.iterates) == 1 and trace.iterates[0].shape == (n,)
     assert not np.any(trace.iterates[0])
+
+
+def test_canonical_and_perturbed_duals_past_the_float_range_are_typed_errors():
+    # blocks x 1e-160 leave S subnormal: the dual's entries, near 1e160, are
+    # representable, but S^+ B over S's eigenpairs overflows
+    ksys = random_kg_system(4, [2, 1, 2], 2, 3)
+    tiny = KGSystem(ksys.system.with_matrix(1e-160 * ksys.system.matrix), ksys.k)
+    with pytest.raises(FloatRangeError):
+        canonical_kg_dual(tiny)
+    with pytest.raises(FloatRangeError):
+        perturbed_dual(tiny, 0.5, seed=0)

@@ -1,6 +1,7 @@
 """Tests for erasure criteria and brute-force survival analysis."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from oracles import (
     complex_gaussian,
     frame_operator_of,
     full_rank_instance,
+    invertibility_norms_of,
     oracle_is_kg_frame,
     unit_norm_instance,
 )
@@ -110,6 +112,15 @@ def test_invertibility_with_s_below_the_float_range_is_a_typed_error(k):
     ksys = KGSystem(GSystem(2, (1e-156 * np.eye(2), 1e-156 * np.eye(2))), k)
     with pytest.raises(FloatRangeError):
         erasure_invertibility(ksys, [1])
+
+
+def test_search_with_s_below_the_float_range_leaves_the_certificate_out():
+    # S = 2e-312 I: S^{-1} overflows, so removing both blocks is left to the eigh path
+    ksys = KGSystem(GSystem(2, (1e-156 * np.eye(2), 1e-156 * np.eye(2))), np.eye(2))
+    reports = brute_force_erasure_search(ksys, 2)
+    _assert_equals_reference(ksys, reports, linops.DEFAULT_RANK_TOL)
+    whole = optimal_bounds(ksys).kg_lower_opt
+    assert [r.actual_lower_bound for r in reports] == [whole, 1e-312, 1e-312, None]
 
 
 def test_norm_count_requires_unit_norm_removed_blocks():
@@ -248,6 +259,33 @@ def test_invertibility_answers_for_zero_k():
     assert not erasure_brute_report(ksys, [1]).survives
     with pytest.raises(KStarNotBoundedBelowError):
         erasure_norm_count(ksys, [1])
+
+
+def test_invertibility_norms_match_plain_inverses():
+    for seed in range(3):
+        ksys = random_kg_system(12, [3] * 5, 5, seed=seed)
+        bounds = optimal_bounds(ksys)
+        a = min(bounds.g_lower_opt, bounds.kg_lower_opt)
+        for removal in [*itertools.combinations(range(5), 1), *itertools.combinations(range(5), 2)]:
+            rep = erasure_invertibility(ksys, removal)
+            if not rep.survives:
+                continue
+            inv_norm, k_inv_norm = invertibility_norms_of(ksys, removal)
+            assert abs(rep.invertibility_norm - inv_norm) <= 1e-11 * inv_norm, removal
+            want = a / (k_inv_norm * k_inv_norm)
+            assert abs(rep.predicted_lower_bound - want) <= 1e-11 * want, removal
+
+
+def test_invertibility_takes_one_svd_of_t_and_no_inverse(linalg_calls):
+    ksys = random_kg_system(12, [3] * 5, 5, seed=0)
+    assert ksys.k_svals is not None and ksys.s_evals is not None  # K and S factored first
+    linalg_calls.clear()
+    assert erasure_invertibility(ksys, [1]).survives
+    names = [name for name, _, _ in linalg_calls]
+    assert [call for call in linalg_calls if call[0] == "svd"] == [("svd", (12, 12), True)]
+    assert "inv" not in names and "solve" not in names
+    # the bound's Gram, ||K^* V diag(1/sigma)||'s Gram, and the reduced system's eigh and Gram
+    assert sorted(names) == ["eigh", "eigvalsh", "eigvalsh", "eigvalsh", "svd"]
 
 
 def test_invertibility_matches_brute_force_on_all_small_removals():
@@ -410,12 +448,17 @@ def test_erasure_bounds_match_the_reduced_system_reference(name, scale):
         assert set(ran.values()) == {len(reports)}
 
 
-def _tally(calls) -> dict[str, int]:
-    """Counts of n x n ``eigh`` calls, batched (3-D) ones, ``eigvalsh`` and SVDs with vectors."""
+def _tally(calls, n: int) -> dict[str, int]:
+    """Counts of n x n ``eigh`` matrices, each matrix of a stack counted, of
+    batched ``eigh`` calls of another size, of ``eigvalsh`` calls and of SVDs
+    with vectors."""
     counts = {"eigh_nxn": 0, "eigh_batched": 0, "eigvalsh": 0, "svd_with_vectors": 0}
     for name, shape, compute_uv in calls:
+        if name == "eigh" and shape[-1] == n:
+            counts["eigh_nxn"] += math.prod(shape[:-2])
+            continue
         if name == "eigh":
-            name = "eigh_batched" if len(shape) == 3 else "eigh_nxn"
+            name = "eigh_batched"
         elif name == "svd" and compute_uv:
             name = "svd_with_vectors"
         if name in counts:
@@ -426,12 +469,12 @@ def _tally(calls) -> dict[str, int]:
 def test_search_on_a_cached_spectrum_factors_no_k_and_no_s_for_fatal_removals(linalg_calls):
     # 13 blocks of 2 rows in n = 24: removing two leaves 22 rows, so every
     # pair is certified fatal from the full factorization; the 13 single
-    # removals take one n x n eigh each, and the empty removal reads S's
+    # removals take one stacked eigh of 13 n x n matrices, and the empty removal reads S's
     ksys = random_kg_system(24, [2] * 13, 8, seed=0)
     assert ksys.k_svals is not None  # K factored before counting starts
     linalg_calls.clear()
     reports = brute_force_erasure_search(ksys, 2)
-    counts = _tally(linalg_calls)
+    counts = _tally(linalg_calls, 24)
     assert len(reports) == 92
     assert counts["eigh_nxn"] == 13
     # one batched q x q eigh for the one (size, q) group tried: the pairs, q = 4
@@ -449,9 +492,9 @@ def test_search_with_a_singular_frame_operator_factors_s_once_and_each_nonempty_
     assert chain.k_svals is not None  # K is factored; S is factored on first use
     linalg_calls.clear()
     reports = brute_force_erasure_search(chain, 3)
-    # S itself, on first use, which the empty removal shares, then one per other subset;
+    # S itself, on first use, which the empty removal shares, then one matrix per other subset;
     # the one support size that keeps range(K) takes one stacked Gram eigvalsh
-    assert _tally(linalg_calls) == {"eigh_nxn": len(reports), "eigh_batched": 0,
+    assert _tally(linalg_calls, 6) == {"eigh_nxn": len(reports), "eigh_batched": 0,
                                     "eigvalsh": 1, "svd_with_vectors": 0}
 
 

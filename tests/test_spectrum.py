@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from kgframes import (
     Classification,
+    FloatRangeError,
     GSystem,
     KGSystem,
     RangeConditionError,
@@ -431,3 +432,24 @@ def test_reconstruction_steps_take_no_decomposition(linalg_calls):
         return list(linalg_calls)
 
     assert decompositions(0) == decompositions(200)
+
+
+@pytest.mark.parametrize("rank_tol", [1e-10, 0.0])
+@pytest.mark.parametrize("kind", ["invertible", "chain"])
+def test_s_pinv_is_the_pseudo_inverse_of_the_frame_operator(kind, rank_tol):
+    # the chain's S has a kernel; its eigenvalue there, near 5e-16, is cut at either tolerance
+    ksys = random_kg_system(12, [3] * 5, 5, seed=0) if kind == "invertible" else overlap_chain_system(6)
+    n = ksys.ambient_dim
+    want = np.linalg.pinv(frame_operator_of(ksys.system))
+    x = complex_gaussian(np.random.default_rng(8), (n, 3))
+    for operand, expected in ((np.eye(n), want), (x, want @ x)):
+        got = ksys.s_pinv(operand, rank_tol)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_s_pinv_past_the_float_range_is_a_typed_error():
+    ksys = random_kg_system(4, [2, 1, 2], 2, 3)
+    tiny = KGSystem(ksys.system.with_matrix(1e-160 * ksys.system.matrix), ksys.k)
+    assert 0.0 < tiny.s_evals[0] < 1e-300  # subnormal, so 1/w overflows
+    with pytest.raises(FloatRangeError):
+        tiny.s_pinv(np.eye(4), 1e-10)
