@@ -148,9 +148,11 @@ class KGSystem:
         Raises ``FloatRangeError`` when it is not finite (a kept w below about 1e-308).
         """
         support = self.s_support(rank_tol)
-        v = self.s_evecs[:, support]
+        v, w = self.s_evecs, self.s_evals
+        if not support.all():  # a full support needs no indexed copy
+            v, w = v[:, support], w[support]
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (v / self.s_evals[support]) @ (v.conj().T @ x)
+            out = (v / w) @ (v.conj().T @ x)
         if not np.isfinite(out).all():
             raise FloatRangeError("S^+ applied to an operand lies outside the floating-point range")
         return out

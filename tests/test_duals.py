@@ -1,5 +1,7 @@
 """Tests for dual families, defects, corrections, and reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -478,6 +480,58 @@ def test_long_reconstruction_matches_oracle_and_stops_by_the_rule():
     f_norm = float(np.linalg.norm(f))
     assert all(err > 1e-12 * f_norm for err in trace.errors[:-1])
     assert trace.errors[-1] <= 1e-12 * f_norm or len(trace.errors) == 2001
+
+
+# Reconstruction runs in blocks of steps: each block has the steps the
+# envelope defect^(N+1) ||f|| <= stop asks for, but no more than n.
+# At n = 8 a block holds steps 0..7, 8..15 and so on, and a defect
+# NEUMANN_STOP_RTOL^(1 / (S + 1/2)) stops the scaled canonical dual, whose
+# errors are defect^(N+1) ||f||, at step S with a first block of S + 1 steps.
+SEAM_N = 8
+
+
+@pytest.mark.parametrize("stop_step, num_steps", [
+    # the defect-0.98 dual stops at step 1367: the cap ends the run at each seam of n
+    *((1367, cap) for cap in (SEAM_N - 2, SEAM_N - 1, SEAM_N, SEAM_N + 1,
+                              2 * SEAM_N - 1, 2 * SEAM_N, 2 * SEAM_N + 1)),
+    # the stop ends the run at each seam of n
+    *((stop, 1000) for stop in (SEAM_N - 1, SEAM_N, SEAM_N + 1,
+                                2 * SEAM_N - 1, 2 * SEAM_N, 2 * SEAM_N + 1)),
+    # a first block of 5 < n steps, ended by the cap or by the stop
+    (4, 3), (4, 4), (4, 5), (4, 6),
+])
+def test_reconstruction_across_block_seams_matches_oracle(stop_step, num_steps):
+    ksys = random_kg_system(SEAM_N, [2] * 6, 5, seed=24)
+    dual = canonical_kg_dual(ksys)
+    defect = 0.98 if stop_step == 1367 else NEUMANN_STOP_RTOL ** (1.0 / (stop_step + 0.5))
+    cand = dual.with_matrix((1.0 - defect) * dual.matrix)
+    f = random_range_vector(np.random.default_rng(9), ksys.k)
+    trace = _assert_matches_oracle(ksys.system, cand, ksys.k, f, num_steps)
+    assert len(trace.errors) == min(stop_step, num_steps) + 1
+    stop = NEUMANN_STOP_RTOL * float(np.linalg.norm(f))
+    assert all(err > stop for err in trace.errors[:-1])
+    assert trace.errors[-1] <= stop or len(trace.errors) == num_steps + 1
+
+
+@pytest.mark.parametrize("defect", [0.5, 0.98])
+def test_a_cap_far_past_the_stop_runs_to_the_same_stop_in_bounded_memory(defect):
+    # both stop past n = 16 steps; at 0.98 the envelope asks for 1368 steps
+    # and the errors stop after about 60, so only the cap of n steps per
+    # block keeps the first block small
+    ksys = random_kg_system(16, [4] * 8, 8, seed=25)
+    cand = perturbed_dual(ksys, defect, seed=12)
+    f = random_range_vector(np.random.default_rng(13), ksys.k)
+    want = neumann_reconstruct(ksys.system, cand, ksys.k, f, num_steps=200)
+    assert 16 < len(want.errors) < 201
+    tracemalloc.start()
+    try:
+        got = neumann_reconstruct(ksys.system, cand, ksys.k, f, num_steps=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.errors == want.errors
+    n = ksys.ambient_dim
+    assert peak <= 24 * n * n * np.dtype(np.complex128).itemsize
 
 
 @pytest.mark.parametrize("num_steps", [0, 1, 5, 200])
