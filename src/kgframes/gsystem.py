@@ -148,9 +148,7 @@ class KGSystem:
         Raises ``FloatRangeError`` when it is not finite (a kept w below about 1e-308).
         """
         support = self.s_support(rank_tol)
-        v, w = self.s_evecs, self.s_evals
-        if not support.all():  # a full support needs no indexed copy
-            v, w = v[:, support], w[support]
+        v, w = self.s_evecs[:, support], self.s_evals[support]
         with np.errstate(over="ignore", invalid="ignore"):
             out = (v / w) @ (v.conj().T @ x)
         if not np.isfinite(out).all():

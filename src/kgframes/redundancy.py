@@ -13,6 +13,8 @@ with the full system's cached factorization of K, which every subset shares;
 a removal of no rows reads S's own eigendecomposition from that cache. The
 search takes the index sets in stacked passes, one per kept-row count,
 each cut into runs whose working arrays fit in STACK_BYTES, one ``eigh`` per run.
+The two criteria take the full system's bound relative to K as the bound
+after removing no blocks, in the same call that gives the reduced bound.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NotUnitNormError,
     TooManySubsetsError,
 )
-from .gsystem import GSystem, KGSystem, _gram, _kg_lower, optimal_bounds
+from .gsystem import GSystem, KGSystem, _gram, _kg_lower
 
 __all__ = ["ErasureReport", "brute_force_erasure_search", "erasure_brute_report",
            "erasure_invertibility", "erasure_norm_count", "partial_frame_operator",
@@ -127,17 +129,15 @@ def _reduced_kg_lowers(ksys: KGSystem, subsets, rank_tol: float) -> list[float |
     kept = num_rows - np.count_nonzero(removed, axis=1)
     live = ~_fatal_removals(ksys, removed, rank_tol)
     lowers: list[float | None] = [None] * len(subsets)
-    whole = np.flatnonzero(live & (kept == num_rows))
-    if whole.size:
-        y = ksys.k_in(ksys.s_evecs)
-        lower = _kg_lower(ksys.s_evals[np.newaxis], y[np.newaxis], ksys.k_norm, rank_tol)[0]
-        for i in whole:
-            lowers[i] = lower
-    for count in set(kept[live & (kept < num_rows)].tolist()):
+    # most kept rows first, so the full system's bound, where asked for, is taken first
+    for count in sorted(set(kept[live].tolist()), reverse=True):
         # the kept rows and their adjoint, and about four n x n arrays, per removal
         for members in _chunks(np.flatnonzero(live & (kept == count)), 16 * n * (2 * count + 4 * n)):
-            rows = np.nonzero(~removed[members])[1].reshape(len(members), count)
-            w, v = np.linalg.eigh(_gram(l[rows]))
+            if count == num_rows:  # no row removed: S's own cached eigenpairs, per member
+                w, v = (np.broadcast_to(a, (len(members), *a.shape)) for a in ksys._s_eigh)
+            else:
+                rows = np.nonzero(~removed[members])[1].reshape(len(members), count)
+                w, v = np.linalg.eigh(_gram(l[rows]))
             for i, lower in zip(members, _kg_lower(w, ksys.k_in(v), ksys.k_norm, rank_tol)):
                 lowers[i] = lower
     return lowers
@@ -237,10 +237,9 @@ def erasure_norm_count(
         norm_j = linops.op_norm(ksys.system.blocks[j])
         if abs(norm_j - 1.0) > unit_tol:
             raise NotUnitNormError(f"block {j} has operator norm {norm_j:.12g}, expected 1")
-    full = optimal_bounds(ksys, rank_tol=rank_tol)
-    if full.kg_lower_opt is None:
+    a, reduced = _reduced_kg_lowers(ksys, [(), idx], rank_tol)
+    if a is None:
         raise NotKGFrameError("system has no positive lower bound relative to K")
-    a = full.kg_lower_opt
     margin = a * c * c - len(idx)
     survives = margin > 0.0  # |I| < A * C^2
     return ErasureReport(
@@ -248,7 +247,7 @@ def erasure_norm_count(
         criterion="normCount",
         survives=survives,
         predicted_lower_bound=margin if survives else None,
-        actual_lower_bound=_reduced_kg_lowers(ksys, [idx], rank_tol)[0],
+        actual_lower_bound=reduced,
         invertibility_norm=None,
         count_conditions_differ=(len(idx) < a * c) != survives,
     )
@@ -280,8 +279,9 @@ def erasure_invertibility(
     if not ksys.s_support(rank_tol).all():
         raise FrameOperatorSingularError("frame operator is singular at tolerance")
     # S is invertible, so range(K) lies in range(S): only K = 0 has no finite bound relative to K
-    full = optimal_bounds(ksys, rank_tol=rank_tol)
-    a = full.g_lower_opt if full.kg_lower_opt is None else min(full.g_lower_opt, full.kg_lower_opt)
+    kg_lower, reduced = _reduced_kg_lowers(ksys, [(), idx], rank_tol)
+    g_lower = max(float(ksys.s_evals[0]), 0.0)
+    a = g_lower if kg_lower is None else min(g_lower, kg_lower)
 
     n = ksys.ambient_dim
     t = np.eye(n, dtype=np.complex128) - ksys.s_pinv(partial_frame_operator(ksys.system, idx), rank_tol)
@@ -303,7 +303,7 @@ def erasure_invertibility(
         criterion="invertibility",
         survives=survives,
         predicted_lower_bound=predicted,
-        actual_lower_bound=_reduced_kg_lowers(ksys, [idx], rank_tol)[0],
+        actual_lower_bound=reduced,
         invertibility_norm=inv_norm,
         predicted_lower_bound_stated=stated,
     )
