@@ -328,14 +328,24 @@ def analysis(sys: GSystem, f) -> BlockSequence:
 
 
 def frame_operator(sys: GSystem) -> np.ndarray:
-    """The Hermitian PSD matrix S = sum_j L_j^* L_j (synthesis after analysis)."""
+    """The Hermitian PSD matrix S = sum_j L_j^* L_j (synthesis after analysis).
+
+    Raises ``FloatRangeError`` when S lies outside the floating-point range.
+    """
     return _gram(sys.matrix)
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    """M^* M, symmetrized: the frame operator of the stacked rows ``m``, or of each matrix of a stack."""
-    s = np.swapaxes(m.conj(), -1, -2) @ m
-    s += np.swapaxes(s.conj(), -1, -2)
+    """M^* M, symmetrized: the frame operator of the stacked rows ``m``, or of each matrix of a stack.
+
+    The one place a frame operator is formed. Raises ``FloatRangeError``
+    when it is not finite (entries of M near 1e154 and above).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.swapaxes(m.conj(), -1, -2) @ m
+        s += np.swapaxes(s.conj(), -1, -2)
+    if not np.isfinite(s).all():
+        raise FloatRangeError("the frame operator lies outside the floating-point range")
     s /= 2.0
     return s
 

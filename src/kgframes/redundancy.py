@@ -94,7 +94,10 @@ def _removed_rows(sys: GSystem, subsets) -> np.ndarray:
 
 
 def partial_frame_operator(sys: GSystem, indices) -> np.ndarray:
-    """Frame operator restricted to a subset of blocks: sum_{j in I} L_j^* L_j."""
+    """Frame operator restricted to a subset of blocks: sum_{j in I} L_j^* L_j.
+
+    Raises ``FloatRangeError`` when it lies outside the floating-point range.
+    """
     idx = _validate_indices(sys.num_blocks, indices)
     return _gram(sys.matrix[_removed_rows(sys, [idx])[0]])
 

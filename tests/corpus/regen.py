@@ -8,7 +8,8 @@ diff empty. ``tests/test_corpus.py`` replays the cases against the stored
 expectations.
 
 Inputs come from ``kgframes gen``, a ``d_j = 0`` block among them, and
-from a few hand-made systems: K = 0, a singular S and unit-norm blocks.
+from a few hand-made systems: K = 0, a singular S, unit-norm blocks and
+blocks scaled by 1e160, past the float range.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ def _hand_made(workdir: Path) -> None:
     rows = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     kg.save_system(kg.KGSystem(kg.GSystem(6, (rows[:2], rows[2:])), rows.conj().T @ rng.standard_normal((4, 6))),
                    workdir / "singular.json")
+    # blocks x 1e160: S is past the float range
+    small = kg.random_kg_system(4, [2, 1, 2], 2, 3)
+    kg.save_system(kg.KGSystem(small.system.with_matrix(1e160 * small.system.matrix), small.k),
+                   workdir / "big.json")
     # three unitary blocks and ||K|| = 1/2: the norm-count criterion applies
     blocks = (_unitary(rng), _unitary(rng), _unitary(rng))
     kg.save_system(kg.KGSystem(kg.GSystem(4, blocks), 0.5 * _unitary(rng)), workdir / "unit.json")
@@ -85,6 +90,7 @@ COMMANDS = [
     ("erase_invert", ["erase", "low.json", "--indices", "0", "--criterion", "invert"]),
     ("erase_norm", ["erase", "unit.json", "--indices", "0", "--criterion", "norm"]),
     ("erase_invert_singular_s", ["erase", "singular.json", "--indices", "0", "--criterion", "invert"]),
+    ("bounds_float_range", ["bounds", "big.json"]),
     ("bounds_nan_tol", ["bounds", "sys.json", "--tol-rank", "nan"]),
     ("bounds_missing_file", ["bounds", "missing.json"]),
 ]

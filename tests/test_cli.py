@@ -920,15 +920,45 @@ def test_a_canonical_dual_past_the_float_range_exits_one(tmp_path, capsys):
     assert not (tmp_path / "dual.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # printed, as a user of the CLI sees them
-@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
-                   reason="S of blocks near 1e160 overflows and eigh does not converge: an untyped error")
-def test_bounds_of_a_system_scaled_by_1e160(tmp_path, capsys):
+def _save_scaled_by_1e160(path) -> None:
     ksys = random_kg_system(4, [2, 1, 2], 2, 3)
-    path = tmp_path / "big.json"
     save_system(KGSystem(GSystem(4, tuple(1e160 * b for b in ksys.system.blocks)), ksys.k), path)
-    code, _, err = run_cli(capsys, "bounds", str(path))
-    assert code in (0, 1, 2), err
+
+
+def test_bounds_of_a_system_scaled_by_1e160(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    _save_scaled_by_1e160(path)
+    code, out, err = run_cli(capsys, "bounds", str(path))
+    assert (code, out) == (1, ""), err
+    assert json.loads(err)["error"]["type"] == "FloatRangeError"
+
+
+@pytest.mark.parametrize("args", [
+    ("classify",), ("dual", "-o", "dual.json"), ("erase", "--max-remove", "1", "--criterion", "brute"),
+    ("erase", "--indices", "0", "--criterion", "invert"),
+], ids=["classify", "dual", "erase_brute", "erase_invert"])
+def test_commands_on_a_system_scaled_by_1e160_report_a_float_range_error(tmp_path, capsys, args):
+    path = tmp_path / "big.json"
+    _save_scaled_by_1e160(path)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, ""), err
+    assert json.loads(err)["error"]["type"] == "FloatRangeError"
+    assert not (tmp_path / "dual.json").exists()
+
+
+def test_neumann_dual_with_a_huge_term_cap_stops_with_the_bytes_of_a_small_one(tmp_path, capsys):
+    ksys = random_kg_system(12, [3] * 5, 5, 1)
+    sys_path, cand_path = tmp_path / "sys.json", tmp_path / "pert.json"
+    save_system(ksys, sys_path)
+    save_system(KGSystem(perturbed_dual(ksys, 0.5, seed=0), ksys.k), cand_path)
+    outs = []
+    for cap in ("5000", "100000000"):
+        outs.append(tmp_path / f"nd_{cap}.json")
+        code, _, err = run_cli(capsys, "neumann-dual", str(sys_path), str(cand_path), "--N", cap,
+                               "-o", str(outs[-1]))
+        assert code == 0, err
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _strip_wall_time(text: str) -> str:

@@ -36,7 +36,8 @@ from kgframes import (
     range_projector,
     truncated_neumann_dual,
 )
-from kgframes.linops import DUAL_EXACT_TOL, NEUMANN_STOP_RTOL
+from kgframes import duals
+from kgframes.linops import DEFAULT_RANK_TOL, DUAL_EXACT_TOL, NEUMANN_STOP_RTOL
 from kgframes.linops import op_norm
 
 from oracles import (
@@ -277,6 +278,27 @@ def test_truncated_dual_zero_terms_restricts_candidate():
     p = range_projector(ksys.k)
     for tb, cb in zip(trunc.blocks, cand.blocks):
         assert np.allclose(tb, cb @ p, atol=1e-12)
+
+
+@pytest.mark.parametrize("defect", [0.5, 0.95])
+def test_truncated_dual_stops_at_a_zero_term_with_the_entries_of_every_term(defect):
+    ksys = random_kg_system(12, [3] * 5, 5, 1)
+    cand = perturbed_dual(ksys, defect, seed=0)
+    _, b, tb, c = duals._require_approx_dual(ksys.system, cand, ksys.k, DEFAULT_RANK_TOL)
+    # the sum of every term, with no stop, past the first zero term
+    q = np.eye(c.shape[0]) - c
+    term, acc, zero_at = np.eye(c.shape[0], dtype=np.complex128), np.eye(c.shape[0], dtype=np.complex128), None
+    for step in range(1, 20_000):
+        term = q @ term
+        acc += term
+        if zero_at is None and not term.any():
+            zero_at = step
+        if zero_at is not None and step == zero_at + 100:
+            break
+    assert zero_at is not None and zero_at > 100
+    want = (tb @ acc) @ b.conj().T
+    for terms in (zero_at + 100, 10**8):
+        assert np.array_equal(truncated_neumann_dual(ksys.system, cand, ksys.k, terms).matrix, want)
 
 
 def test_truncated_dual_validates_input():

@@ -21,6 +21,7 @@ from kgframes import (
     inner,
     optimal_bounds,
     overlap_chain_system,
+    partial_frame_operator,
     random_kg_system,
     range_condition_holds,
     synthesis,
@@ -136,6 +137,17 @@ def test_a_bound_relative_to_k_past_the_float_range_is_a_typed_error(scale):
     ksys = random_kg_system(4, [2, 1, 2], 2, 3)
     with pytest.raises(FloatRangeError, match="the lower bound relative to K"):
         optimal_bounds(KGSystem(ksys.system, scale * ksys.k))
+
+
+def test_a_frame_operator_past_the_float_range_is_a_typed_error():
+    ksys = random_kg_system(4, [2, 1, 2], 2, 3)
+    big = KGSystem(ksys.system.with_matrix(1e160 * ksys.system.matrix), ksys.k)
+    with pytest.raises(FloatRangeError, match="the frame operator"):
+        frame_operator(big.system)
+    with pytest.raises(FloatRangeError, match="the frame operator"):
+        partial_frame_operator(big.system, [0])
+    # 1e150 leaves S near 1e300, inside the range
+    assert np.isfinite(frame_operator(ksys.system.with_matrix(1e150 * ksys.system.matrix))).all()
 
 
 def test_bounds_scale_exactly_by_powers_of_two():
