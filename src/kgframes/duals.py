@@ -225,13 +225,16 @@ def truncated_neumann_dual(
     ``T_N = sum_{n=0..N} (P - P M P)^n P``; the defect of the result decays
     geometrically, bounded by defect(candidate)^(N+1).
 
-    Each term is one r x r product, r the rank of K. The sum stops at the
-    first term that is exactly zero, since every later term is zero too,
-    so the result equals that of all ``num_terms`` terms. With rho the
-    spectral radius of P - P M P, the terms reach zero after about
-    745 / ln(1 / rho) <= 745 / (1 - rho) steps (about 14,500 at
-    rho = 0.95), so a large ``num_terms`` costs no more than that; the stop
-    bounds nothing when rho lies within about 1e-6 of 1.
+    Each term is one r x r product, r the rank of K. Every step maps the
+    pair (term, partial sum) to the next pair by the same operations, so
+    once the pair repeats bit for bit it cycles, and the steps still to run
+    count only modulo the period. A repeat is sought against the pair saved
+    at the last power-of-two step (Brent's cycle detection); the result is
+    bit for bit that of all ``num_terms`` terms. The terms need not reach
+    zero: for q = 0.95 I they stick at a subnormal 7e-323. Nothing bounds
+    the steps before a repeat; they grow as the spectral radius of
+    P - P M P nears 1. For the steps measured on a few inputs, see README
+    "Approximate duals".
     """
     if num_terms < 0:
         raise ValueError("num_terms must be non-negative")
@@ -239,13 +242,16 @@ def truncated_neumann_dual(
     # P - P M P = B (I_r - C) B^*, so T_N = B (sum_n (I_r - C)^n) B^*
     eye = np.eye(c.shape[0], dtype=np.complex128)
     q = eye - c
-    term = eye
-    acc = eye.copy()
-    for _ in range(num_terms):
+    term, acc = eye, eye.copy()
+    saved, saved_at, step, left = (term.tobytes(), acc.tobytes()), 0, 0, num_terms
+    while left > 0:
         term = q @ term
-        if not term.any():  # every later term is zero too
-            break
         acc += term
+        step, left = step + 1, left - 1
+        if term.tobytes() == saved[0] and acc.tobytes() == saved[1]:
+            left %= step - saved_at  # the pair cycles with this period
+        elif step & (step - 1) == 0:
+            saved, saved_at = (term.tobytes(), acc.tobytes()), step
     return candidate.with_matrix((tb @ acc) @ b.conj().T)
 
 

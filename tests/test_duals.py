@@ -301,6 +301,27 @@ def test_truncated_dual_stops_at_a_zero_term_with_the_entries_of_every_term(defe
         assert np.array_equal(truncated_neumann_dual(ksys.system, cand, ksys.k, terms).matrix, want)
 
 
+@pytest.mark.parametrize("scale", [0.05, 1.95])
+def test_truncated_dual_stops_when_subnormal_terms_stick(scale):
+    # I_r - C = (1 - scale) I: the terms stick at a subnormal, of one sign
+    # at 0.05 and of alternating sign at 1.95, and never reach zero
+    ksys = random_kg_system(12, [3] * 5, 5, 1)
+    can = canonical_kg_dual(ksys)
+    cand = can.with_matrix(scale * can.matrix)
+    _, b, tb, c = duals._require_approx_dual(ksys.system, cand, ksys.k, DEFAULT_RANK_TOL)
+    q = np.eye(c.shape[0]) - c
+    term, acc = np.eye(c.shape[0], dtype=np.complex128), np.eye(c.shape[0], dtype=np.complex128)
+    sums = []
+    for _ in range(20_001):
+        term = q @ term
+        acc += term
+        sums.append(acc.copy())
+    assert term.any() and (term.tobytes() != (q @ term).tobytes()) == (scale > 1)
+    for terms in (20_000, 20_001, 10**8, 10**8 + 1):
+        want = (tb @ sums[19_999 + terms % 2]) @ b.conj().T
+        assert truncated_neumann_dual(ksys.system, cand, ksys.k, terms).matrix.tobytes() == want.tobytes()
+
+
 def test_truncated_dual_validates_input():
     ksys = random_instance(77)
     cand = perturbed_dual(ksys, 0.4, seed=8)
